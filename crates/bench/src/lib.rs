@@ -1,12 +1,8 @@
-//! # bench — Criterion benchmark harness
+//! # bench — performance harness
 //!
-//! Shared helpers for the benchmark targets:
-//!
-//! * `figures` — one benchmark per paper figure, timing a representative
-//!   simulation point of each system/workload pair.
-//! * `engine` — discrete-event engine throughput.
-//! * `wire` — frame build/parse and Toeplitz hashing hot paths.
-//! * `dispatcher` — scheduling-decision throughput per policy.
+//! Shared helpers for the `perf` binary (`src/bin/perf.rs`), which times
+//! the event-queue shapes against the legacy heap and each assembly's
+//! end-to-end throughput, and gates both against `BENCH_5.json`.
 
 #![forbid(unsafe_code)]
 

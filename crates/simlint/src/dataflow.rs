@@ -1,7 +1,7 @@
 //! Forward determinism-taint analysis, intraprocedural with same-file
 //! call summaries.
 //!
-//! The v2 token pass flags *mentions* of nondeterminism (`HashMap` in a
+//! The token pass flags *mentions* of nondeterminism (`HashMap` in a
 //! type, `Instant::now()` in model code). This pass flags *flows*: a
 //! nondeterministic value produced at a source reaching an
 //! ordering-sensitive sink within one function body. Sources:
@@ -484,22 +484,20 @@ fn stmt_sinks(stmt: &[Token], ordered: &BTreeSet<String>, extra_sched: &[String]
 }
 
 // ---------------------------------------------------------------------------
-// v4: compositional per-function taint facts
+// Per-function taint facts for the workspace pass
 // ---------------------------------------------------------------------------
 //
-// The v3 pass above resolves same-file helper calls with an in-file
-// summary fixpoint; it survives verbatim as the executable spec (the
-// differential test keeps v4 a superset of it). The collector below is
-// what the workspace-level interprocedural engine consumes instead: a
-// *pure* function of one file's tokens, producing serializable facts —
-// which calls each function makes, which call-carried values reach
-// which sinks, and which origins its return value may carry. Nothing
-// here looks at other functions, so the facts can be cached per file
-// and resolved globally against the whole-workspace call graph.
+// The pass above resolves same-file helper calls with an in-file
+// summary fixpoint and reports every flow it can see within the file.
+// The collector below feeds the workspace-level interprocedural engine
+// ([`crate::interproc`]): per function, which calls it makes, which
+// call-carried values reach which sinks, and which origins its return
+// value may carry. Nothing here looks at other functions; the facts are
+// resolved globally against the whole-workspace call graph.
 
 /// One taint origin as recorded in per-function facts.
 ///
-/// `call: None` is a local source (`label` is the v3 origin label,
+/// `call: None` is a local source (`label` is the per-file origin label,
 /// `line` its source line). `call: Some(name)` is a value obtained from
 /// a call to `name`, tainted iff the resolved callee's summary is — the
 /// interprocedural engine decides that, not this file.
@@ -507,7 +505,7 @@ fn stmt_sinks(stmt: &[Token], ordered: &BTreeSet<String>, extra_sched: &[String]
 pub struct OriginFact {
     /// Callee name for call-carried origins; `None` for local sources.
     pub call: Option<String>,
-    /// v3-compatible origin label (empty for call-carried origins).
+    /// Per-file-pass origin label (empty for call-carried origins).
     pub label: String,
     /// 1-based line of the originating token.
     pub line: usize,
@@ -515,12 +513,12 @@ pub struct OriginFact {
 
 /// An ordering-sensitive sink statement that consumes at least one
 /// call-carried value. (Sinks fed only by local sources are fully
-/// handled by the v3 pass and are not recorded here.)
+/// handled by the per-file pass and are not recorded here.)
 #[derive(Debug, Clone)]
 pub struct SinkFact {
     /// 1-based line of the sink statement.
     pub line: usize,
-    /// v3-compatible sink label (`event-queue sink `.push(..)``, …).
+    /// Per-file-pass sink label (`event-queue sink `.push(..)``, …).
     pub label: String,
     /// Callee names whose return values reach this sink.
     pub callees: Vec<String>,
@@ -543,12 +541,10 @@ pub struct CallFact {
 pub struct FnTaintFacts {
     /// Sinks consuming call-carried values.
     pub sinks: Vec<SinkFact>,
-    /// Origins the return value may carry, in v3 priority order.
+    /// Origins the return value may carry, in per-file-pass priority order.
     pub ret: Vec<OriginFact>,
     /// Distinct call sites in the body.
     pub calls: Vec<CallFact>,
-    /// Lines mentioning ambient-RNG sources (shard-hazard input).
-    pub rng_lines: Vec<usize>,
 }
 
 const VAR_ORIGIN_CAP: usize = 6;
@@ -596,7 +592,6 @@ pub fn collect_fn_facts(
                 sinks,
                 ret,
                 calls: collect_calls(toks, f.body),
-                rng_lines: collect_rng_lines(toks, f.body),
             }
         })
         .collect()
@@ -652,7 +647,7 @@ fn param_shapes(toks: &[Token], sig: (usize, usize)) -> (BTreeSet<String>, BTree
     (un, ord)
 }
 
-/// The v4 analogue of [`scan_fn`]: same two-pass statement walk and the
+/// The per-function-facts analogue of [`scan_fn`]: same two-pass statement walk and the
 /// same propagation shape, but origins are multi-valued and calls are
 /// recorded unresolved instead of being looked up in same-file
 /// summaries.
@@ -746,7 +741,7 @@ fn scan_fn_facts(
     (sinks, ret)
 }
 
-/// Every origin a statement fragment carries, in token order — the v3
+/// Every origin a statement fragment carries, in token order — the per-file
 /// single-origin check (`stmt_taint`) generalized to collect all of
 /// them, with unresolved calls as first-class origins.
 fn stmt_origins(
@@ -917,28 +912,6 @@ pub fn collect_calls(toks: &[Token], body: (usize, usize)) -> Vec<CallFact> {
         };
         if !out.contains(&cf) {
             out.push(cf);
-        }
-    }
-    out
-}
-
-/// Lines in a body mentioning ambient-RNG sources (`thread_rng`,
-/// `from_entropy`, `OsRng`, `rand::random`).
-fn collect_rng_lines(toks: &[Token], body: (usize, usize)) -> Vec<usize> {
-    let mut out = Vec::new();
-    let end = body.1.min(toks.len());
-    for k in body.0..end {
-        let Some(s) = toks[k].kind.ident() else {
-            continue;
-        };
-        let hit = RNG_SOURCES.contains(&s)
-            || (s == "random"
-                && k >= 3
-                && toks[k - 1].kind == TokKind::Punct(':')
-                && toks[k - 2].kind == TokKind::Punct(':')
-                && toks[k - 3].kind.ident() == Some("rand"));
-        if hit && !out.contains(&toks[k].line) {
-            out.push(toks[k].line);
         }
     }
     out

@@ -26,16 +26,16 @@
 //! `core` on none), so a model crate can never pull in a harness crate —
 //! the dependency direction that would let wall clocks, OS threads and
 //! ambient entropy leak into simulation state. Vendored stand-ins under
-//! `vendor/` (bytes, proptest, criterion) are third-party surface and
+//! `vendor/` (bytes, proptest) are third-party surface and
 //! exempt, like any external dependency.
 //!
 //! This module parses each `Cargo.toml` with a small section-aware
 //! scanner (no TOML dependency), builds the graph, and emits
 //! `layer-violation` findings for: missing or unknown layer metadata,
-//! forbidden edges (normal, dev, or build dependencies alike), and
-//! cycles. It also *feeds* the token pass: the `host-thread` and
-//! `wall-clock` scopes come from these layers, replacing the
-//! hand-maintained path allowlist of simlint v1.
+//! unknown `[package.metadata.simlint]` keys, forbidden edges (normal,
+//! dev, or build dependencies alike), and cycles. It also *feeds* the
+//! token pass: the `host-thread` and `wall-clock` scopes come from these
+//! layers, so no hand-maintained path allowlist is needed.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -137,13 +137,10 @@ pub struct CrateInfo {
     /// queue lanes (e.g. the timer wheel) keeps them under taint
     /// analysis without a lint release.
     pub sched_sinks: Vec<String>,
-    /// Shard entry points (`shard_roots = ["Dispatcher::on_request"]`):
-    /// the functions a future intra-run shard calls into. The shard
-    /// certification pass proves everything reachable from these roots
-    /// touches only shard-local state and records the per-crate verdict
-    /// in `SHARD_SAFETY.json`. `Type::method` names an impl method; a
-    /// bare name matches free functions of that name in the crate.
-    pub shard_roots: Vec<String>,
+    /// `[package.metadata.simlint]` keys simlint does not know, with
+    /// their 1-based manifest lines. Each is a `layer-violation`: a typo
+    /// or a leftover key must not switch analysis off silently.
+    pub unknown_keys: Vec<(String, usize)>,
 }
 
 /// The parsed workspace graph.
@@ -186,20 +183,6 @@ impl WorkspaceGraph {
         Ok(graph)
     }
 
-    /// The layer of the crate owning `rel_path` (workspace-relative with
-    /// forward slashes), if the path belongs to a known crate.
-    pub fn layer_of_file(&self, rel_path: &str) -> Option<Layer> {
-        let dir = rel_path
-            .strip_prefix("crates/")
-            .and_then(|r| r.split('/').next())
-            .map(|c| format!("crates/{c}"))
-            .unwrap_or_default();
-        self.crates
-            .values()
-            .find(|c| c.dir == dir)
-            .and_then(|c| c.layer)
-    }
-
     /// Evaluate the `layer-violation` rule over the whole graph.
     pub fn check(&self) -> Vec<Finding> {
         let mut findings = Vec::new();
@@ -230,6 +213,17 @@ impl WorkspaceGraph {
                               dependency DAG stays machine-checkable"
                         .into(),
                 }),
+            }
+            for (key, line) in &c.unknown_keys {
+                findings.push(Finding {
+                    file: c.manifest.clone(),
+                    line: *line,
+                    rule: "layer-violation",
+                    message: format!(
+                        "unknown key `{key}` in [package.metadata.simlint]; \
+                         known keys are layer, time_boundary, ledger and sched_sinks"
+                    ),
+                });
             }
             let Some(from) = c.layer else { continue };
             for dep in &c.deps {
@@ -356,12 +350,38 @@ fn parse_manifest(text: &str, manifest_rel: &str, dir_rel: &str) -> Option<Crate
     let mut time_boundary: Option<String> = None;
     let mut ledger: Vec<String> = Vec::new();
     let mut sched_sinks: Vec<String> = Vec::new();
-    let mut shard_roots: Vec<String> = Vec::new();
+    let mut unknown_keys: Vec<(String, usize)> = Vec::new();
     let mut deps = Vec::new();
     let mut saw_package = false;
+    // A metadata array still open across lines: (key, 1-based line, text so far).
+    let mut open_array: Option<(String, usize, String)> = None;
+    let list = |v: &str| -> Vec<String> {
+        v.trim_start_matches('[')
+            .trim_end_matches(']')
+            .split(',')
+            .map(|s| s.trim().trim_matches('"').to_string())
+            .filter(|s| !s.is_empty())
+            .collect()
+    };
+    let mut set_metadata = |key: &str, value: &str, line: usize| match key {
+        "layer" => layer_raw = Some(value.trim_matches('"').to_string()),
+        "time_boundary" => time_boundary = Some(value.trim_matches('"').to_string()),
+        "ledger" => ledger = list(value),
+        "sched_sinks" => sched_sinks = list(value),
+        _ => unknown_keys.push((key.to_string(), line)),
+    };
 
     for (idx, raw_line) in text.lines().enumerate() {
         let line = raw_line.trim();
+        if let Some((key, at, mut acc)) = open_array.take() {
+            acc.push_str(line.split('#').next().unwrap_or(""));
+            if acc.contains(']') {
+                set_metadata(&key, &acc, at);
+            } else {
+                open_array = Some((key, at, acc));
+            }
+            continue;
+        }
         if line.starts_with('[') {
             section = match line {
                 "[package]" => {
@@ -389,46 +409,12 @@ fn parse_manifest(text: &str, manifest_rel: &str, dir_rel: &str) -> Option<Crate
                 }
             }
             Section::Metadata => {
-                if let Some(rest) = line.strip_prefix("layer") {
-                    let rest = rest.trim_start();
-                    if let Some(v) = rest.strip_prefix('=') {
-                        layer_raw = Some(v.trim().trim_matches('"').to_string());
-                    }
-                } else if let Some(rest) = line.strip_prefix("time_boundary") {
-                    let rest = rest.trim_start();
-                    if let Some(v) = rest.strip_prefix('=') {
-                        time_boundary = Some(v.trim().trim_matches('"').to_string());
-                    }
-                } else if let Some(rest) = line.strip_prefix("ledger") {
-                    let rest = rest.trim_start();
-                    if let Some(v) = rest.strip_prefix('=') {
-                        let inner = v.trim().trim_start_matches('[').trim_end_matches(']');
-                        ledger = inner
-                            .split(',')
-                            .map(|s| s.trim().trim_matches('"').to_string())
-                            .filter(|s| !s.is_empty())
-                            .collect();
-                    }
-                } else if let Some(rest) = line.strip_prefix("sched_sinks") {
-                    let rest = rest.trim_start();
-                    if let Some(v) = rest.strip_prefix('=') {
-                        let inner = v.trim().trim_start_matches('[').trim_end_matches(']');
-                        sched_sinks = inner
-                            .split(',')
-                            .map(|s| s.trim().trim_matches('"').to_string())
-                            .filter(|s| !s.is_empty())
-                            .collect();
-                    }
-                } else if let Some(rest) = line.strip_prefix("shard_roots") {
-                    let rest = rest.trim_start();
-                    if let Some(v) = rest.strip_prefix('=') {
-                        let inner = v.trim().trim_start_matches('[').trim_end_matches(']');
-                        shard_roots = inner
-                            .split(',')
-                            .map(|s| s.trim().trim_matches('"').to_string())
-                            .filter(|s| !s.is_empty())
-                            .collect();
-                    }
+                let (key, value) = line.split_once('=').unwrap_or((line, ""));
+                let (key, value) = (key.trim(), value.trim());
+                if value.starts_with('[') && !value.contains(']') {
+                    open_array = Some((key.to_string(), idx + 1, value.to_string()));
+                } else {
+                    set_metadata(key, value, idx + 1);
                 }
             }
             Section::Deps | Section::DevDeps | Section::BuildDeps => {
@@ -474,7 +460,7 @@ fn parse_manifest(text: &str, manifest_rel: &str, dir_rel: &str) -> Option<Crate
         time_boundary,
         ledger,
         sched_sinks,
-        shard_roots,
+        unknown_keys,
     })
 }
 
@@ -525,20 +511,23 @@ mod tests {
 
     #[test]
     fn manifest_parsing_extracts_sched_sink_metadata() {
-        let text = "[package]\nname = \"sim-core\"\n\n[package.metadata.simlint]\n\
-                    layer = \"core\"\nsched_sinks = [\"push_handle\", \"schedule_far\"]\n";
-        let c = parse_manifest(text, "crates/sim-core/Cargo.toml", "crates/sim-core").unwrap();
-        assert_eq!(c.sched_sinks, vec!["push_handle", "schedule_far"]);
-        assert!(c.shard_roots.is_empty());
-    }
-
-    #[test]
-    fn manifest_parsing_extracts_shard_root_metadata() {
-        let text = "[package]\nname = \"nicsched\"\n\n[package.metadata.simlint]\n\
-                    layer = \"model\"\n\
-                    shard_roots = [\"Dispatcher::on_request\", \"kick\"]\n";
-        let c = parse_manifest(text, "crates/nicsched/Cargo.toml", "crates/nicsched").unwrap();
-        assert_eq!(c.shard_roots, vec!["Dispatcher::on_request", "kick"]);
+        let head =
+            "[package]\nname = \"sim-core\"\n\n[package.metadata.simlint]\nlayer = \"core\"\n";
+        for sinks in [
+            "sched_sinks = [\"push_handle\", \"schedule_far\"]\n",
+            // The multi-line form sim-core's manifest uses.
+            "sched_sinks = [\n    \"push_handle\",\n    \"schedule_far\", # wheel lane\n]\n",
+        ] {
+            let text = format!("{head}{sinks}ledger = [\"a\"]\n");
+            let c = parse_manifest(&text, "crates/sim-core/Cargo.toml", "crates/sim-core").unwrap();
+            assert_eq!(
+                c.sched_sinks,
+                vec!["push_handle", "schedule_far"],
+                "{sinks}"
+            );
+            assert_eq!(c.ledger, vec!["a"], "{sinks}");
+            assert!(c.unknown_keys.is_empty(), "{:?}", c.unknown_keys);
+        }
     }
 
     #[test]
@@ -639,19 +628,5 @@ mod tests {
             mk("simlint", "crates/simlint", "tool", &[]),
         ]);
         assert!(g.check().is_empty(), "{:?}", g.check());
-    }
-
-    #[test]
-    fn layer_of_file_maps_paths_to_crates() {
-        let g = graph(vec![
-            mk("sim-core", "crates/sim-core", "core", &[]),
-            mk("mindgap", "", "app", &[]),
-        ]);
-        assert_eq!(
-            g.layer_of_file("crates/sim-core/src/engine.rs"),
-            Some(Layer::Core)
-        );
-        assert_eq!(g.layer_of_file("src/lib.rs"), Some(Layer::App));
-        assert_eq!(g.layer_of_file("crates/unknown/src/x.rs"), None);
     }
 }

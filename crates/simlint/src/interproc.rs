@@ -1,19 +1,18 @@
 //! Workspace-level interprocedural analysis: the cross-file, cross-crate
 //! call graph, SCC condensation, and bottom-up taint summaries.
 //!
-//! The v3 dataflow pass resolves helper calls with a *same-file* summary
-//! fixpoint; everything beyond one file was invisible. This module lifts
-//! that to the workspace. The per-file half is [`FileFacts`]: a pure,
-//! serializable function of one file's source (so it can be cached
-//! content-hashed — see [`crate::cache`]), holding the pre-waiver lint
-//! candidates alongside call/taint/static facts. The global half is
-//! [`Workspace`]: an index over every file's facts that
+//! The per-file dataflow pass resolves helper calls with a *same-file*
+//! summary fixpoint; everything beyond one file is invisible to it. This
+//! module lifts that to the workspace. The per-file half is
+//! [`FileFacts`]: a pure function of one file's source, holding the
+//! pre-waiver lint candidates and the file's waivers alongside its call
+//! and taint facts. The global half is [`Workspace`]: an index over every
+//! file's facts that
 //!
 //! 1. resolves each [`CallFact`] to candidate definitions — same-file
-//!    first (the v3 contract), then through `use`-alias bindings (the v2
-//!    alias machinery), then by name within the owning crate; method
-//!    calls resolve to every workspace `impl` fn of that name, and
-//!    `Type::method` forms narrow to impls of `Type`;
+//!    first, then through `use`-alias bindings, then by name within the
+//!    owning crate; method calls resolve to every workspace `impl` fn of
+//!    that name, and `Type::method` forms narrow to impls of `Type`;
 //! 2. condenses the call graph into SCCs (iterative Tarjan) and computes
 //!    bottom-up per-function taint summaries in callees-first order,
 //!    iterating each SCC to a fixpoint (a summary is never overwritten
@@ -25,45 +24,15 @@
 //! Resolution is deliberately over-approximate (a lint, not a linker):
 //! an unresolvable call simply has no edges, and a name collision adds
 //! edges. Both err toward *more* reachability, which is the conservative
-//! direction for taint and for the shard-safety certificate built on the
-//! same graph ([`crate::shard`]).
+//! direction for taint.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::dataflow::{CallFact, FnTaintFacts};
-use crate::items::FileItems;
-use crate::lexer::{TokKind, Token};
-use crate::rules::semantic::{LedgerSites, INTERIOR_MUTABLE};
-use crate::rules::waivers::Waiver;
+use crate::rules::semantic::LedgerSites;
+use crate::rules::tokens::Analysis;
+use crate::rules::waivers::WaiverSet;
 use crate::Finding;
-
-/// A mention of an all-caps (static-shaped) identifier in a fn body.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GlobalRef {
-    /// The identifier.
-    pub name: String,
-    /// 1-based line of the mention.
-    pub line: usize,
-    /// True when the mention looks like a write (`NAME = ..`,
-    /// `NAME += ..`, or a mutating/locking method call on it).
-    pub write: bool,
-}
-
-/// One `static` (or `thread_local!` static) declaration, classified.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StaticFact {
-    /// The static's name.
-    pub name: String,
-    /// 1-based line of the declaration.
-    pub line: usize,
-    /// `static mut`.
-    pub mutable: bool,
-    /// Declared inside a `thread_local!` extent.
-    pub tls: bool,
-    /// Type mentions an interior-mutable wrapper (`Mutex`, `OnceLock`,
-    /// `Atomic*`, …).
-    pub interior: bool,
-}
 
 /// One function with its interprocedural facts.
 #[derive(Debug, Clone)]
@@ -77,35 +46,27 @@ pub struct FnFact {
     pub impl_type: Option<String>,
     /// Taint facts of the body.
     pub taint: FnTaintFacts,
-    /// Static-shaped identifier mentions in the body.
-    pub global_refs: Vec<GlobalRef>,
 }
 
 /// Everything the global passes need from one file — a pure function of
-/// the file's source plus its crate's manifest metadata, which is what
-/// makes it cacheable.
-#[derive(Debug, Clone, Default)]
+/// the file's source plus its crate's manifest metadata.
+#[derive(Debug, Default)]
 pub struct FileFacts {
     /// Workspace-relative path.
     pub rel: String,
     /// Owning crate name.
     pub crate_name: String,
     /// Pre-waiver candidates from the per-file passes (token rules,
-    /// semantic rules, v3-local taint).
+    /// semantic rules, same-file taint).
     pub candidates: Vec<Finding>,
-    /// Parsed waivers, to be replayed through a fresh
-    /// [`crate::rules::waivers::WaiverSet`] at finalize time.
-    pub waivers: Vec<Waiver>,
-    /// Malformed-waiver sites as (line, message).
-    pub bad_waivers: Vec<(usize, String)>,
+    /// The file's waivers, applied once at finalize time.
+    pub waivers: WaiverSet,
     /// Per declared ledger field: this file's non-test sites.
     pub ledger: Vec<(String, LedgerSites)>,
     /// `use`-alias bindings: visible name → full path segments.
     pub bindings: BTreeMap<String, Vec<String>>,
     /// Per-function facts, in file order.
     pub fns: Vec<FnFact>,
-    /// Classified statics.
-    pub statics: Vec<StaticFact>,
     /// True when interprocedural taint findings may be emitted for this
     /// file (core/model layer, not a tests dir).
     pub taint_scope: bool,
@@ -114,139 +75,29 @@ pub struct FileFacts {
     pub has_forbid: bool,
 }
 
-/// Classify the file's statics, marking those inside `thread_local!`
-/// extents as TLS.
-pub fn collect_statics(toks: &[Token], items: &FileItems) -> Vec<StaticFact> {
-    let tls_spans = tls_extents(toks);
-    items
-        .statics
-        .iter()
-        .map(|st| {
-            let interior = st
-                .type_idents
-                .iter()
-                .any(|t| INTERIOR_MUTABLE.contains(&t.as_str()) || t.starts_with("Atomic"));
-            let tls = tls_spans.iter().any(|&(a, b)| a <= st.line && st.line <= b);
-            StaticFact {
-                name: st.name.clone(),
-                line: st.line,
-                mutable: st.mutable,
-                tls,
-                interior,
-            }
-        })
-        .collect()
-}
-
-/// Line extents of `thread_local! { .. }` invocations.
-fn tls_extents(toks: &[Token]) -> Vec<(usize, usize)> {
-    let mut out = Vec::new();
-    for k in 0..toks.len() {
-        if toks[k].kind.ident() != Some("thread_local") {
-            continue;
-        }
-        if toks.get(k + 1).map(|t| &t.kind) != Some(&TokKind::Punct('!')) {
-            continue;
-        }
-        let Some(open) =
-            (k + 2..toks.len().min(k + 4)).find(|&i| toks[i].kind == TokKind::Punct('{'))
-        else {
-            continue;
-        };
-        let mut depth = 0i32;
-        let mut close = None;
-        for (off, t) in toks[open..].iter().enumerate() {
-            if t.kind == TokKind::Punct('{') {
-                depth += 1;
-            } else if t.kind == TokKind::Punct('}') {
-                depth -= 1;
-                if depth == 0 {
-                    close = Some(open + off);
-                    break;
-                }
+impl FileFacts {
+    /// Finalize the file: merge the interprocedural findings routed to it
+    /// (deduplicated by (line, message) against the same-file chains the
+    /// per-file taint pass already reported), credit the source-side
+    /// waivers of cross-file flows at `credits`, and apply the waivers
+    /// once across every rule family.
+    pub fn finalize(self, extra: Vec<Finding>, credits: &[usize]) -> Analysis {
+        let mut candidates = self.candidates;
+        let mut seen: BTreeSet<(usize, String)> = candidates
+            .iter()
+            .map(|c| (c.line, c.message.clone()))
+            .collect();
+        for f in extra {
+            if seen.insert((f.line, f.message.clone())) {
+                candidates.push(f);
             }
         }
-        if let Some(c) = close {
-            out.push((toks[k].line, toks[c].line));
+        let mut wset = self.waivers;
+        for &line in credits {
+            wset.credit(line, "determinism-taint");
         }
+        crate::rules::tokens::finalize(&self.rel, candidates, wset)
     }
-    out
-}
-
-/// Methods that mutate (or hand out mutable access to) the receiver —
-/// touching a static through one of these counts as a write.
-const WRITE_METHODS: &[&str] = &[
-    "set",
-    "get_or_init",
-    "get_or_insert_with",
-    "get_or_try_init",
-    "lock",
-    "write",
-    "borrow_mut",
-    "get_mut",
-    "store",
-    "swap",
-    "insert",
-    "push",
-    "remove",
-    "clear",
-    "replace",
-    "take",
-    "init",
-    "with_borrow_mut",
-    "fetch_add",
-    "fetch_sub",
-    "fetch_and",
-    "fetch_or",
-    "fetch_xor",
-    "compare_exchange",
-    "compare_exchange_weak",
-];
-
-/// Collect all-caps identifier mentions in a body with a read/write
-/// classification. Only names that match an actual workspace `static`
-/// matter downstream; everything else is ignored at certification time.
-pub fn collect_global_refs(toks: &[Token], body: (usize, usize)) -> Vec<GlobalRef> {
-    let mut out: Vec<GlobalRef> = Vec::new();
-    let end = body.1.min(toks.len());
-    for k in body.0..end {
-        let Some(s) = toks[k].kind.ident() else {
-            continue;
-        };
-        if s.len() < 2
-            || !s.chars().next().is_some_and(|c| c.is_ascii_uppercase())
-            || !s
-                .chars()
-                .all(|c| c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_')
-        {
-            continue;
-        }
-        let next = toks.get(k + 1).map(|t| &t.kind);
-        let write = match next {
-            Some(TokKind::Punct('.')) => toks
-                .get(k + 2)
-                .and_then(|t| t.kind.ident())
-                .is_some_and(|m| WRITE_METHODS.contains(&m)),
-            Some(TokKind::Punct('=')) => {
-                // `NAME = ..` but not `NAME == ..`.
-                toks.get(k + 2).map(|t| &t.kind) != Some(&TokKind::Punct('='))
-            }
-            Some(TokKind::Punct(op @ ('+' | '-' | '*' | '/' | '%' | '|' | '&' | '^'))) => {
-                let _ = op;
-                toks.get(k + 2).map(|t| &t.kind) == Some(&TokKind::Punct('='))
-            }
-            _ => false,
-        };
-        let gr = GlobalRef {
-            name: s.to_string(),
-            line: toks[k].line,
-            write,
-        };
-        if !out.contains(&gr) {
-            out.push(gr);
-        }
-    }
-    out
 }
 
 /// A function's identity in the workspace: (file index, fn index).
@@ -263,7 +114,7 @@ pub struct FnRef {
 /// reporting.
 #[derive(Debug, Clone)]
 pub struct Summary {
-    /// v3-format origin label, `(via ..)` clauses included.
+    /// Per-file-pass origin label, `(via ..)` clauses included.
     pub label: String,
     /// File index of the chain-root local source.
     pub file: usize,
@@ -278,7 +129,7 @@ pub struct InterFinding {
     pub file: usize,
     /// 1-based sink line.
     pub line: usize,
-    /// `{origin} flows into {sink}` in the v3 message format.
+    /// `{origin} flows into {sink}` in the per-file pass's message format.
     pub message: String,
     /// `(file index, line)` of the local source when it lives in a
     /// different file than the sink.
@@ -297,9 +148,6 @@ pub struct Workspace<'a> {
     methods: BTreeMap<String, Vec<FnRef>>,
     /// (impl type name, fn name) → definitions.
     by_type: BTreeMap<(String, String), Vec<FnRef>>,
-    /// Static name → worst-case (mutable, tls, interior) over all
-    /// same-named statics, with one declaration site.
-    statics: BTreeMap<String, (StaticFact, usize)>,
 }
 
 impl<'a> Workspace<'a> {
@@ -311,7 +159,6 @@ impl<'a> Workspace<'a> {
             by_crate: BTreeMap::new(),
             methods: BTreeMap::new(),
             by_type: BTreeMap::new(),
-            statics: BTreeMap::new(),
         };
         for (fi, f) in files.iter().enumerate() {
             ws.crate_norm
@@ -330,40 +177,8 @@ impl<'a> Workspace<'a> {
                         .push(r);
                 }
             }
-            for st in &f.statics {
-                ws.statics
-                    .entry(st.name.clone())
-                    .and_modify(|(cur, _)| {
-                        cur.mutable |= st.mutable;
-                        cur.tls |= st.tls;
-                        cur.interior |= st.interior;
-                    })
-                    .or_insert_with(|| (st.clone(), fi));
-            }
         }
         ws
-    }
-
-    /// Worst-case classification of the named workspace static, with the
-    /// file index of its first declaration.
-    pub fn static_named(&self, name: &str) -> Option<&(StaticFact, usize)> {
-        self.statics.get(name)
-    }
-
-    /// Definitions of `Type::name` across the workspace.
-    pub fn fns_of_type(&self, ty: &str, name: &str) -> Vec<FnRef> {
-        self.by_type
-            .get(&(ty.to_string(), name.to_string()))
-            .cloned()
-            .unwrap_or_default()
-    }
-
-    /// Definitions of `name` within `krate`.
-    pub fn fns_in_crate(&self, krate: &str, name: &str) -> Vec<FnRef> {
-        self.by_crate
-            .get(&(krate.to_string(), name.to_string()))
-            .cloned()
-            .unwrap_or_default()
     }
 
     fn crate_from_seg(&self, seg: &str, own: &str) -> String {
@@ -393,7 +208,7 @@ impl<'a> Workspace<'a> {
         let own = facts.crate_name.as_str();
         let mut out: Vec<FnRef>;
         if call.method {
-            // `recv.m(..)`: any same-file fn named m (the v3 contract),
+            // `recv.m(..)`: any same-file fn named m (the per-file contract),
             // plus every workspace impl-owned fn of that name.
             out = self.same_file(file, &call.name);
             if let Some(v) = self.methods.get(&call.name) {
@@ -459,38 +274,32 @@ impl<'a> Workspace<'a> {
         out
     }
 
-    fn node_list(&self) -> (Vec<FnRef>, BTreeMap<FnRef, usize>) {
-        let mut nodes = Vec::new();
-        let mut index = BTreeMap::new();
-        for (fi, f) in self.files.iter().enumerate() {
-            for xi in 0..f.fns.len() {
-                let r = FnRef { file: fi, idx: xi };
-                index.insert(r, nodes.len());
-                nodes.push(r);
-            }
-        }
-        (nodes, index)
-    }
-
-    /// Call-graph adjacency (node index → callee node indices), plus the
-    /// node list itself.
-    pub fn call_graph(&self) -> (Vec<FnRef>, Vec<Vec<usize>>) {
-        let (nodes, index) = self.node_list();
-        let mut adj = vec![Vec::new(); nodes.len()];
-        for (ni, r) in nodes.iter().enumerate() {
-            let fun = &self.files[r.file].fns[r.idx];
-            let mut outs: Vec<usize> = fun
-                .taint
-                .calls
-                .iter()
-                .flat_map(|c| self.resolve(r.file, c))
-                .filter_map(|t| index.get(&t).copied())
-                .collect();
-            outs.sort_unstable();
-            outs.dedup();
-            adj[ni] = outs;
-        }
-        (nodes, adj)
+    /// The call graph: every function as a node, the node index of each
+    /// [`FnRef`], and adjacency (node index → callee node indices).
+    fn call_graph(&self) -> (Vec<FnRef>, BTreeMap<FnRef, usize>, Vec<Vec<usize>>) {
+        let nodes: Vec<FnRef> = self
+            .files
+            .iter()
+            .enumerate()
+            .flat_map(|(file, f)| (0..f.fns.len()).map(move |idx| FnRef { file, idx }))
+            .collect();
+        let index: BTreeMap<FnRef, usize> =
+            nodes.iter().enumerate().map(|(i, r)| (*r, i)).collect();
+        let adj = nodes
+            .iter()
+            .map(|r| {
+                let calls = &self.files[r.file].fns[r.idx].taint.calls;
+                let mut outs: Vec<usize> = calls
+                    .iter()
+                    .flat_map(|c| self.resolve(r.file, c))
+                    .filter_map(|t| index.get(&t).copied())
+                    .collect();
+                outs.sort_unstable();
+                outs.dedup();
+                outs
+            })
+            .collect();
+        (nodes, index, adj)
     }
 
     /// Bottom-up taint summaries for every function, keyed the same way
@@ -500,12 +309,10 @@ impl<'a> Workspace<'a> {
     /// iterates to a fixpoint. A function's summary is its *first*
     /// return origin that resolves live — a local source always does, a
     /// call-carried origin does once its callee has a summary — and a
-    /// summary is never overwritten, which both matches the v3
+    /// summary is never overwritten, which both matches the per-file
     /// first-origin contract and guarantees termination on cycles.
     pub fn summaries(&self) -> Vec<Vec<Option<Summary>>> {
-        let (nodes, adj) = self.call_graph();
-        let index: BTreeMap<FnRef, usize> =
-            nodes.iter().enumerate().map(|(i, r)| (*r, i)).collect();
+        let (nodes, index, adj) = self.call_graph();
         let sccs = tarjan_sccs(&adj);
         let mut sums: Vec<Option<Summary>> = vec![None; nodes.len()];
         for scc in &sccs {
@@ -563,7 +370,7 @@ impl<'a> Workspace<'a> {
 
     /// Interprocedural determinism-taint findings: every sink fed by a
     /// call whose resolved summary is tainted, in files where taint
-    /// findings are in scope. Same-file chains the v3 pass already
+    /// findings are in scope. Same-file chains the per-file pass already
     /// reports produce byte-identical messages here and are deduplicated
     /// by the caller.
     pub fn interproc_findings(&self, sums: &[Vec<Option<Summary>>]) -> Vec<InterFinding> {
@@ -684,7 +491,6 @@ mod tests {
                 line: f.line,
                 impl_type: f.owner.map(|o| items.impls[o].type_name.clone()),
                 taint: t,
-                global_refs: collect_global_refs(&lexed.tokens, f.body),
             })
             .collect();
         FileFacts {
@@ -692,7 +498,6 @@ mod tests {
             crate_name: crate_name.to_string(),
             bindings: crate::rules::tokens::collect_bindings(&lexed.tokens),
             fns,
-            statics: collect_statics(&lexed.tokens, &items),
             taint_scope: true,
             ..FileFacts::default()
         }
@@ -774,29 +579,6 @@ mod tests {
         let sums = ws.summaries();
         assert!(sums[0][0].is_some(), "{sums:?}");
         assert!(sums[0][1].is_some(), "{sums:?}");
-    }
-
-    #[test]
-    fn global_ref_write_classification() {
-        let src = "fn f() {\n    REG.get_or_init(make);\n    let v = LIMIT;\n    COUNT += 1;\n}\n";
-        let lexed = lex(src);
-        let items = parse_items(&lexed.tokens);
-        let refs = collect_global_refs(&lexed.tokens, items.fns[0].body);
-        let get = |n: &str| refs.iter().find(|r| r.name == n).unwrap();
-        assert!(get("REG").write);
-        assert!(!get("LIMIT").write);
-        assert!(get("COUNT").write);
-    }
-
-    #[test]
-    fn tls_statics_are_classified() {
-        let src = "thread_local! {\n    static TLS: Cell<u64> = Cell::new(0);\n}\nstatic PLAIN: u64 = 0;\n";
-        let lexed = lex(src);
-        let items = parse_items(&lexed.tokens);
-        let st = collect_statics(&lexed.tokens, &items);
-        let get = |n: &str| st.iter().find(|s| s.name == n).unwrap();
-        assert!(get("TLS").tls);
-        assert!(!get("PLAIN").tls);
     }
 
     #[test]

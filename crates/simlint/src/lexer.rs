@@ -1,10 +1,9 @@
 //! A dependency-free Rust lexer producing a line-annotated token stream.
 //!
-//! The legacy pass (see [`crate::legacy`]) scrubs comments and string
-//! literals with a line-oriented state machine and then greps the
-//! remains. That is fast but lexically blind: it cannot tell an aliased
-//! import from a local type, and every rule is limited to what fits on
-//! one line. This lexer is the foundation of the v2 token pass: it
+//! Scrubbing comments and string literals line by line and grepping the
+//! remains is fast but lexically blind: it cannot tell an aliased import
+//! from a local type, and every rule is limited to what fits on one
+//! line. This lexer is the foundation of the token pass: it
 //! produces real tokens with 1-based line spans, handling the corners
 //! that fool lexical scans —
 //!

@@ -92,9 +92,9 @@ impl Report {
 
     /// The baseline document (`--write-baseline`): standing findings
     /// without messages (lines drift; messages churn) plus the waiver
-    /// ledger. `schema: 4` marks the v4 finding vocabulary
-    /// (workspace-interprocedural taint, shard-cert); `compare` ignores
-    /// the key, so v2/v3 baselines still parse.
+    /// ledger. `schema: 4` marks the finding vocabulary with
+    /// workspace-interprocedural taint; `compare` ignores the key, so
+    /// older baselines still parse.
     pub fn to_baseline_json(&self) -> String {
         let mut out = String::from("{\n  \"schema\": 4,\n  \"findings\": [\n");
         for (i, f) in self.findings.iter().enumerate() {

@@ -117,8 +117,8 @@ pub const TABLE: &[RuleSpec] = &[
     RuleSpec {
         name: "layer-violation",
         scope: "crate manifests (the workspace dependency graph)",
-        fires_on: "an edge that breaks the architecture DAG, or missing \
-                   `layer` metadata",
+        fires_on: "an edge that breaks the architecture DAG, missing \
+                   `layer` metadata, or an unknown metadata key",
         detail: "Each crate declares its architectural layer in \
                  `[package.metadata.simlint]`: core (sim-core) depends on no \
                  internal crate; model crates may depend on core + model; \
@@ -126,7 +126,10 @@ pub const TABLE: &[RuleSpec] = &[
                  root app on all of those; the tool layer (simlint) stands \
                  alone. Model crates can never depend on harness crates, the \
                  graph must stay acyclic, and every crate must declare a \
-                 layer. Manifest findings cannot be waived in source.",
+                 layer. The metadata table knows four keys (`layer`, \
+                 `time_boundary`, `ledger`, `sched_sinks`); any other key is \
+                 a finding, so a typo or a leftover cannot switch analysis \
+                 off silently. Manifest findings cannot be waived in source.",
         waivable: false,
     },
     RuleSpec {
@@ -164,8 +167,8 @@ pub const TABLE: &[RuleSpec] = &[
                  patterns, and function returns, into sinks where ordering \
                  escapes into simulation state or output: comparator sorts, \
                  event-queue schedule calls, inserts into ordered or \
-                 queue-shaped receivers, and probe/CSV emission. Since v4 the \
-                 pass is interprocedural across the whole workspace: a \
+                 queue-shaped receivers, and probe/CSV emission. The pass is \
+                 interprocedural across the whole workspace: a \
                  cross-file, cross-crate call graph with SCC condensation and \
                  bottom-up summaries resolves taint through any call chain \
                  (`use`-aliased paths and impl methods included), and a \
@@ -224,25 +227,6 @@ pub const TABLE: &[RuleSpec] = &[
                  at a source site.",
         waivable: false,
     },
-    RuleSpec {
-        name: "shard-cert",
-        scope: "crates declaring `shard_roots = [\"Type::method\", …]` metadata",
-        fires_on: "a declared shard entry point that resolves to no \
-                   function in the crate",
-        detail: "The shard-safety certification pass proves everything \
-                 reachable from a crate's declared entry points \
-                 (`[package.metadata.simlint] shard_roots`) touches only \
-                 shard-local state — no `static mut`, `thread_local!`, or \
-                 interior-mutable static writes, no ambient RNG — walking \
-                 the workspace call graph and recording per-crate verdicts \
-                 with witness paths in `SHARD_SAFETY.json`, the build-time \
-                 gate the future partitioned engine consumes (ROADMAP open \
-                 item 2). A root that resolves to nothing certifies \
-                 nothing, so it is a finding on the declaring manifest; \
-                 like every manifest-declared obligation it cannot be \
-                 waived at a source site.",
-        waivable: false,
-    },
 ];
 
 /// Every rule name, in listing order (derived from [`TABLE`]).
@@ -262,7 +246,6 @@ pub const RULES: &[&str] = &[
     "hook-conformance",
     "shard-isolation",
     "ledger-pairing",
-    "shard-cert",
 ];
 
 /// Look up one rule's spec by name.

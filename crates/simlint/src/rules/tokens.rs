@@ -1,8 +1,8 @@
-//! The v2 token-stream analyzer: alias-aware determinism rules over the
+//! The token-stream analyzer: alias-aware determinism rules over the
 //! lexer's output.
 //!
-//! Where the legacy pass greps scrubbed lines, this pass works on real
-//! tokens and a little name resolution per file:
+//! Rather than grepping scrubbed lines, this pass works on real tokens
+//! and a little name resolution per file:
 //!
 //! * **Imports** — every `use` declaration is parsed into bindings
 //!   (`use std::collections::HashMap as Fast;` binds `Fast` →
@@ -71,8 +71,9 @@ pub struct Analysis {
 }
 
 /// Pre-waiver scan state for one file: the token-pass candidate findings
-/// plus everything a later pass (the v3 semantic rules) needs to add its
-/// own candidates before waivers are applied once, at the end.
+/// plus everything the later per-file passes (taint, semantic rules)
+/// need to add their own candidates before waivers are applied once, at
+/// the end.
 pub(crate) struct Scan {
     /// Candidate findings, pre-waiver, in emission order.
     pub(crate) candidates: Vec<Finding>,
@@ -82,12 +83,6 @@ pub(crate) struct Scan {
     pub(crate) lexed: Lexed,
     /// Per-line `#[cfg(test)]` / tests-dir extents (index = 1-based line).
     pub(crate) test_lines: Vec<bool>,
-}
-
-/// Analyze one file with the token pass (the frozen v2 behavior).
-pub fn analyze_source(ctx: FileCtx, rel_path: &str, source: &str) -> Analysis {
-    let scan = scan_source(ctx, rel_path, source);
-    finalize(rel_path, scan.candidates, scan.wset)
 }
 
 /// Run the token rules, producing pre-waiver candidates.
@@ -664,6 +659,12 @@ fn match_bracket(toks: &[Token], open_idx: usize, open: char, close: char) -> Op
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The token rules alone, finalized: no taint or semantic candidates.
+    fn analyze_source(ctx: FileCtx, rel_path: &str, source: &str) -> Analysis {
+        let scan = scan_source(ctx, rel_path, source);
+        finalize(rel_path, scan.candidates, scan.wset)
+    }
 
     fn ctx_model() -> FileCtx {
         FileCtx::new(Layer::Model, "crates/systems/src/x.rs")

@@ -99,7 +99,7 @@ fn merged_tree_is_clean_with_a_bounded_waiver_ledger() {
 #[test]
 fn cli_passes_on_the_live_workspace() {
     let root = repo_root();
-    let (code, out, err) = run_cli(&["--deny-all", "--root", root.to_str().unwrap()]);
+    let (code, out, err) = run_cli(&["--root", root.to_str().unwrap()]);
     assert_eq!(code, 0, "stdout:\n{out}\nstderr:\n{err}");
     assert!(out.contains("0 finding(s)"), "{out}");
 }
@@ -126,7 +126,7 @@ fn model_crate_depending_on_harness_crate_fails_the_build() {
             ("harnesscrate", "harness", "", "pub fn drive() {}\n"),
         ],
     );
-    let (code, out, _err) = run_cli(&["--deny-all", "--root", ws.to_str().unwrap()]);
+    let (code, out, _err) = run_cli(&["--root", ws.to_str().unwrap()]);
     assert_eq!(code, 1, "expected failure, got:\n{out}");
     assert!(out.contains("layer-violation"), "{out}");
     assert!(out.contains("harnesscrate"), "{out}");
@@ -142,9 +142,32 @@ fn crate_without_layer_metadata_fails_the_build() {
         .unwrap()
         .replace("[package.metadata.simlint]\nlayer = \"model\"\n", "");
     fs::write(&manifest, text).unwrap();
-    let (code, out, _err) = run_cli(&["--deny-all", "--root", ws.to_str().unwrap()]);
+    let (code, out, _err) = run_cli(&["--root", ws.to_str().unwrap()]);
     assert_eq!(code, 1, "expected failure, got:\n{out}");
     assert!(out.contains("declares no architectural layer"), "{out}");
+    fs::remove_dir_all(&ws).ok();
+}
+
+#[test]
+fn unknown_metadata_key_fails_the_build() {
+    // A typo for `sched_sinks` must not switch the extra sinks off
+    // silently: it is a layer-violation at the manifest.
+    let ws = scratch_ws(
+        "unknownkey",
+        &[(
+            "modelcrate",
+            "model",
+            "sched_sink = [\"push_handle\"]\n",
+            "pub fn ok() {}\n",
+        )],
+    );
+    let (code, out, _err) = run_cli(&["--root", ws.to_str().unwrap()]);
+    assert_eq!(code, 1, "expected failure, got:\n{out}");
+    assert!(
+        out.contains("crates/modelcrate/Cargo.toml:9: [layer-violation]"),
+        "{out}"
+    );
+    assert!(out.contains("unknown key `sched_sink`"), "{out}");
     fs::remove_dir_all(&ws).ok();
 }
 
@@ -159,7 +182,7 @@ fn stale_waiver_fails_the_build() {
             "// simlint: allow(unordered, reason=was needed once)\npub fn clean() {}\n",
         )],
     );
-    let (code, out, _err) = run_cli(&["--deny-all", "--root", ws.to_str().unwrap()]);
+    let (code, out, _err) = run_cli(&["--root", ws.to_str().unwrap()]);
     assert_eq!(code, 1, "expected failure, got:\n{out}");
     assert!(out.contains("stale-waiver"), "{out}");
     fs::remove_dir_all(&ws).ok();
@@ -176,7 +199,7 @@ fn hazardous_model_crate_fails_with_alias_resolution() {
             "use std::collections::HashMap as Fast;\npub fn t() -> Fast<u8, u8> { Fast::new() }\n",
         )],
     );
-    let (code, out, _err) = run_cli(&["--deny-all", "--root", ws.to_str().unwrap()]);
+    let (code, out, _err) = run_cli(&["--root", ws.to_str().unwrap()]);
     assert_eq!(code, 1, "expected failure, got:\n{out}");
     assert!(out.contains("unordered"), "{out}");
     assert!(out.contains("aliasing HashMap"), "{out}");

@@ -1,25 +1,12 @@
 //! Cross-crate corpus: mini-workspaces under `tests/fixtures/xcrate/`
-//! exercising the v4 interprocedural engine end to end — call chains
-//! across two and three crates, SCC cycles, impl-method resolution,
-//! waiver scoping of cross-file findings, and the shard-safety
-//! certificate with its witness paths.
-//!
-//! Also home of two pipeline-level properties:
-//!
-//! * **v4 ⊇ v3** over the existing single-file corpus — the
-//!   interprocedural pipeline must report a superset of the per-file
-//!   pass it replaced (same-file chains dedupe to byte-identical
-//!   findings, so equality is the common case).
-//! * **warm = cold** for the incremental cache — a fully cached run
-//!   must produce the identical report.
+//! exercising the interprocedural engine end to end — call chains
+//! across two and three crates, SCC cycles, impl-method resolution, and
+//! waiver scoping of cross-file findings.
 
-use std::fs;
 use std::path::{Path, PathBuf};
-use std::process::Command;
 
-use simlint::graph::Layer;
-use simlint::rules::tokens::FileCtx;
-use simlint::{analyze_source_v3, lint_workspace, lint_workspace_opts, LintOptions, LintOutcome};
+use simlint::lint_workspace;
+use simlint::report::Report;
 
 fn fixture(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -27,14 +14,13 @@ fn fixture(name: &str) -> PathBuf {
         .join(name)
 }
 
-fn outcome(name: &str) -> LintOutcome {
-    lint_workspace_opts(&fixture(name), &LintOptions::default()).expect("lint fixture")
+fn outcome(name: &str) -> Report {
+    lint_workspace(&fixture(name)).expect("lint fixture")
 }
 
 /// Findings of one rule, as (file, line, message).
-fn of_rule(out: &LintOutcome, rule: &str) -> Vec<(String, usize, String)> {
-    out.report
-        .findings
+fn of_rule(out: &Report, rule: &str) -> Vec<(String, usize, String)> {
+    out.findings
         .iter()
         .filter(|f| f.rule == rule)
         .map(|f| (f.file.clone(), f.line, f.message.clone()))
@@ -98,57 +84,6 @@ fn ordered_containers_carry_no_flow() {
 }
 
 #[test]
-fn shard_safe_root_certifies_safe() {
-    let out = outcome("shard_safe");
-    let v = out.cert.crates.get("app").expect("app verdict");
-    assert!(v.safe, "{v:?}");
-    assert!(v.reasons.is_empty(), "{v:?}");
-    assert!(of_rule(&out, "shard-cert").is_empty());
-}
-
-#[test]
-fn cross_crate_static_write_is_unsafe_with_a_witness_path() {
-    let out = outcome("shard_unsafe_static");
-    let v = out.cert.crates.get("app").expect("app verdict");
-    assert!(!v.safe, "{v:?}");
-    let r = &v.reasons[0];
-    assert!(
-        r.detail.contains("interior-mutable static `COUNTER`"),
-        "{r:?}"
-    );
-    assert!(r.detail.contains("crates/util/src/lib.rs"), "{r:?}");
-    // The witness chain walks root → hazard, crossing the crate boundary.
-    assert!(r.witness[0].contains("app::Engine::run"), "{:?}", r.witness);
-    assert!(
-        r.witness.last().unwrap().contains("util::bump"),
-        "{:?}",
-        r.witness
-    );
-}
-
-#[test]
-fn tls_touch_is_unsafe() {
-    let out = outcome("shard_unsafe_tls");
-    let v = out.cert.crates.get("app").expect("app verdict");
-    assert!(!v.safe, "{v:?}");
-    assert!(
-        v.reasons.iter().any(|r| r.detail.contains("thread_local!")),
-        "{v:?}"
-    );
-}
-
-#[test]
-fn ambient_rng_is_unsafe() {
-    let out = outcome("shard_unsafe_rng");
-    let v = out.cert.crates.get("app").expect("app verdict");
-    assert!(!v.safe, "{v:?}");
-    assert!(
-        v.reasons.iter().any(|r| r.detail.contains("ambient RNG")),
-        "{v:?}"
-    );
-}
-
-#[test]
 fn sink_line_waiver_suppresses_and_source_waiver_is_credited() {
     let out = outcome("waiver_sink");
     assert!(
@@ -159,7 +94,7 @@ fn sink_line_waiver_suppresses_and_source_waiver_is_credited() {
     assert!(
         of_rule(&out, "stale-waiver").is_empty(),
         "{:?}",
-        out.report.findings
+        out.findings
     );
 }
 
@@ -176,131 +111,6 @@ fn source_only_waiver_does_not_suppress_but_is_not_stale() {
     assert!(
         of_rule(&out, "stale-waiver").is_empty(),
         "{:?}",
-        out.report.findings
+        out.findings
     );
-}
-
-#[test]
-fn lying_shard_certificate_fails_the_gate() {
-    let root = fixture("shard_unsafe_static");
-    let out = Command::new(env!("CARGO_BIN_EXE_simlint"))
-        .args([
-            "--root",
-            root.to_str().unwrap(),
-            "--compare-shard-cert",
-            root.join("SHARD_SAFETY.json").to_str().unwrap(),
-            "--strict",
-        ])
-        .output()
-        .expect("run simlint");
-    assert_ne!(
-        out.status.code(),
-        Some(0),
-        "a safe-claiming cert over an unsafe tree must fail"
-    );
-    let text = format!(
-        "{}{}",
-        String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(text.contains("shard"), "{text}");
-}
-
-/// v4 ⊇ v3 over the existing single-file corpus: every post-waiver v3
-/// finding appears identically in the v4 pipeline run over a one-crate
-/// workspace holding just that file.
-#[test]
-fn v4_reports_a_superset_of_v3_on_the_corpus() {
-    let corpus = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/corpus");
-    let scratch = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../../target/simlint-scratch")
-        .join(format!("v4-superset-{}", std::process::id()));
-    let mut names: Vec<String> = fs::read_dir(&corpus)
-        .expect("corpus dir")
-        .map(|e| e.unwrap().file_name().into_string().unwrap())
-        .filter(|n| n.ends_with(".rs"))
-        .collect();
-    names.sort();
-    assert!(names.len() >= 10, "corpus shrank?");
-    for name in &names {
-        let source = fs::read_to_string(corpus.join(name)).unwrap();
-        let rel = "crates/app/src/lib.rs";
-        let v3 = analyze_source_v3(
-            FileCtx::new(Layer::Model, rel),
-            rel,
-            &source,
-            &[],
-            &[],
-            false,
-        );
-        let v3_set: Vec<(usize, String)> = v3
-            .analysis
-            .findings
-            .iter()
-            .map(|f| (f.line, f.rule.to_string()))
-            .collect();
-
-        if scratch.exists() {
-            fs::remove_dir_all(&scratch).unwrap();
-        }
-        fs::create_dir_all(scratch.join("crates/app/src")).unwrap();
-        fs::write(
-            scratch.join("Cargo.toml"),
-            "[workspace]\nmembers = [\"crates/*\"]\nresolver = \"2\"\n",
-        )
-        .unwrap();
-        fs::write(
-            scratch.join("crates/app/Cargo.toml"),
-            "[package]\nname = \"app\"\nversion = \"0.1.0\"\nedition = \"2021\"\n\n\
-             [package.metadata.simlint]\nlayer = \"model\"\n",
-        )
-        .unwrap();
-        fs::write(scratch.join("crates/app/src/lib.rs"), &source).unwrap();
-        let v4 = lint_workspace(&scratch).expect("v4 lint");
-        let v4_set: Vec<(usize, String)> = v4
-            .findings
-            .iter()
-            .filter(|f| f.file == rel)
-            .map(|f| (f.line, f.rule.to_string()))
-            .collect();
-        for probe in &v3_set {
-            assert!(
-                v4_set.contains(probe),
-                "{name}: v3 finding {probe:?} missing from v4 ({v4_set:?})"
-            );
-        }
-    }
-    let _ = fs::remove_dir_all(&scratch);
-}
-
-/// A fully warm cache run must equal the cold run, finding for finding
-/// and waiver for waiver.
-#[test]
-fn warm_cache_run_is_identical_to_cold() {
-    let root = fixture("chain3");
-    let cache =
-        std::env::temp_dir().join(format!("simlint-xcrate-cache-{}.json", std::process::id()));
-    let _ = fs::remove_file(&cache);
-    let opts = LintOptions {
-        cache_path: Some(cache.clone()),
-    };
-    let cold = lint_workspace_opts(&root, &opts).expect("cold run");
-    assert_eq!(cold.cache_hits, 0, "first run must be cold");
-    assert!(cold.cache_misses > 0);
-    let warm = lint_workspace_opts(&root, &opts).expect("warm run");
-    assert!(warm.cache_hits > 0, "second run must hit the cache");
-    assert_eq!(warm.cache_misses, 0, "nothing changed on disk");
-
-    let render = |o: &LintOutcome| {
-        let f: Vec<String> = o.report.findings.iter().map(|f| f.render()).collect();
-        let w: Vec<String> = o
-            .report
-            .waivers
-            .iter()
-            .map(|w| format!("{}:{} {:?}", w.file, w.line, w.rules))
-            .collect();
-        (f, w, o.cert.to_json())
-    };
-    assert_eq!(render(&cold), render(&warm));
-    let _ = fs::remove_file(&cache);
 }
