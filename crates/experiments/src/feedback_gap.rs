@@ -24,6 +24,15 @@ use workload::{ArrivalGen, ArrivalProcess};
 
 use crate::figures::Scale;
 
+// Every probe name this model records, registered once per run.
+sim_core::probe_keys! {
+    mod key {
+        FEEDBACK_IN_FLIGHT = "feedback.in_flight",
+        FEEDBACK_STALENESS = "feedback.staleness",
+        GAP_WORKER = "gap.worker",
+    }
+}
+
 /// One row of the feedback-gap table.
 #[derive(Debug, Clone)]
 pub struct GapRow {
@@ -106,12 +115,13 @@ impl Model for GapModel {
                 let staleness = self.channel.worst_staleness(ctx.now());
                 let undelivered = self.channel.in_flight();
                 if let Some(s) = staleness {
-                    ctx.probe().hop("feedback.staleness", s);
+                    ctx.probe().hop(key::FEEDBACK_STALENESS, s);
                 }
-                ctx.probe().depth("feedback.in_flight", undelivered);
+                ctx.probe().depth(key::FEEDBACK_IN_FLIGHT, undelivered);
                 self.depth[w] += 1;
                 self.peak = self.peak.max(self.depth[w] as usize);
-                ctx.probe().depth_i("gap.worker", w, self.depth[w] as usize);
+                ctx.probe()
+                    .depth_i(key::GAP_WORKER, w, self.depth[w] as usize);
                 self.queued_at[w].push_back(ctx.now());
                 self.report(ctx.now(), w);
                 if self.depth[w] == 1 {
@@ -174,7 +184,7 @@ pub fn run(scale: Scale) -> Vec<GapRow> {
                 model.report(SimTime::ZERO, w);
             }
             let mut engine = Engine::new(model);
-            engine.set_probe(Probe::new(ProbeConfig::enabled()));
+            engine.set_probe(Probe::new(ProbeConfig::enabled()).register(key::NAMES));
             engine.schedule_at(SimTime::ZERO, Ev::Arrive);
             engine.run();
             let report = engine.probe_mut().report(horizon);

@@ -60,7 +60,7 @@ mod wheel;
 pub use engine::{Ctx, Engine, Model, RunOutcome};
 pub use faults::{FaultConfig, FaultPlan, FaultStats, MAX_FAULT_EVENTS};
 pub use invariants::{InvariantChecker, InvariantConfig, Violation};
-pub use probe::{Probe, ProbeConfig, ProbeHandle, StageReport, TraceEvent};
+pub use probe::{CounterName, Probe, ProbeConfig, ProbeHandle, ProbeKey, StageReport, TraceEvent};
 pub use queue::{EventQueue, LegacyHeap, TimerHandle};
 pub use rng::Rng;
 pub use time::{SimDuration, SimTime};

@@ -11,14 +11,19 @@
 //!
 //! * A [`Probe`] lives inside the [`Engine`](crate::Engine) and is swapped
 //!   into the [`Ctx`](crate::Ctx) for the duration of each event, so any
-//!   [`Model`](crate::Model) can call `ctx.probe().count("qm.enqueue")`
+//!   [`Model`](crate::Model) can call `ctx.probe().count(key::QM_ENQUEUE)`
 //!   without a change to its `handle` signature.
 //! * Every recording method is a no-op returning immediately when the
 //!   probe is disabled — a disabled run is behaviourally and numerically
 //!   identical to a run compiled without any instrumentation.
-//! * All keys are `&'static str` (optionally paired with an instance
-//!   index such as a worker id), so the hot path never allocates and
-//!   report ordering is deterministic (`BTreeMap` iteration).
+//! * Names are registered once, up front: a model declares its table
+//!   with [`probe_keys!`](crate::probe_keys), which pairs every
+//!   `&'static str` name with a [`ProbeKey`] constant, and hands the
+//!   table to [`Probe::register`]. Every recording call then indexes
+//!   flat `Vec`s by key (plus an instance slot for per-worker gauges), so
+//!   the hot path neither allocates nor compares strings. The report
+//!   sorts by name, so its order is the same as if the state were kept
+//!   in name-keyed ordered maps.
 //!
 //! # The mark chain
 //!
@@ -98,14 +103,80 @@ pub struct TraceEvent {
     pub stage: &'static str,
 }
 
-/// Gauge key: a static name plus an optional instance index (worker id,
-/// group id, RX queue id, ...).
-type Key = (&'static str, Option<u32>);
+/// A registered probe name: its position in the table handed to
+/// [`Probe::register`]. Declare keys with [`probe_keys!`](crate::probe_keys)
+/// rather than by hand, so each key sits next to the name it indexes.
+/// Recording under a key on an enabled probe that never registered its
+/// table panics (index out of bounds).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ProbeKey(u32);
 
-fn key_label(key: &Key) -> String {
-    match key.1 {
-        Some(i) => format!("{}[{}]", key.0, i),
-        None => key.0.to_string(),
+impl ProbeKey {
+    /// The key of entry `index` of the registered name table.
+    pub const fn new(index: u32) -> ProbeKey {
+        ProbeKey(index)
+    }
+
+    #[inline]
+    fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+/// Declare a model's probe-name table: a module holding `NAMES` (the
+/// table to pass to [`Probe::register`]) and one [`ProbeKey`] constant
+/// per name, numbered in declaration order.
+///
+/// ```
+/// sim_core::probe_keys! {
+///     mod key {
+///         SENT = "client.sent",
+///         RING = "worker.ring",
+///     }
+/// }
+/// let probe = sim_core::Probe::new(sim_core::ProbeConfig::enabled()).register(key::NAMES);
+/// assert_eq!(key::NAMES[1], "worker.ring");
+/// # let _ = (probe, key::SENT, key::RING);
+/// ```
+#[macro_export]
+macro_rules! probe_keys {
+    ($vis:vis mod $module:ident { $($key:ident = $name:literal),+ $(,)? }) => {
+        $vis mod $module {
+            #[allow(non_camel_case_types, clippy::upper_case_acronyms)]
+            #[repr(u32)]
+            enum Position {
+                $($key),+
+            }
+
+            /// Every probe name of this model, in key order.
+            pub const NAMES: &[&str] = &[$($name),+];
+
+            $(
+                #[doc = concat!("Probe key of `", $name, "`.")]
+                pub const $key: $crate::ProbeKey = $crate::ProbeKey::new(Position::$key as u32);
+            )+
+        }
+    };
+}
+
+/// A counter name accepted by [`ProbeHandle::count`]: a registered
+/// [`ProbeKey`], or a bare `&'static str` resolved against the name table
+/// (appended to it when unknown) for callers that have no table.
+pub trait CounterName {
+    /// The key this name records under in `probe`.
+    fn key(self, probe: &mut Probe) -> ProbeKey;
+}
+
+impl CounterName for ProbeKey {
+    #[inline]
+    fn key(self, _probe: &mut Probe) -> ProbeKey {
+        self
+    }
+}
+
+impl CounterName for &'static str {
+    fn key(self, probe: &mut Probe) -> ProbeKey {
+        probe.resolve(self)
     }
 }
 
@@ -150,15 +221,48 @@ impl DepthTrack {
     }
 }
 
+/// Instance slot of a gauge: 0 for the un-indexed gauge, `i + 1` for
+/// instance `i`, so slot order matches `Option<u32>` order.
+type Slot = usize;
+
+/// Entry `slot` of a per-key instance vector, grown on demand.
+fn instance<T>(slots: &mut Vec<Option<T>>, slot: Slot) -> &mut Option<T> {
+    if slot >= slots.len() {
+        slots.resize_with(slot + 1, || None);
+    }
+    &mut slots[slot]
+}
+
+/// The touched entries of a per-key vector with their names, in name order.
+fn touched_by_name<'p, T>(
+    names: &[&'static str],
+    per_key: &'p [Option<T>],
+) -> Vec<(&'static str, &'p T)> {
+    let mut touched: Vec<_> = names
+        .iter()
+        .zip(per_key)
+        .filter_map(|(name, entry)| Some((*name, entry.as_ref()?)))
+        .collect();
+    touched.sort_unstable_by_key(|(name, _)| *name);
+    touched
+}
+
 /// The recording half of the observability layer. Owned by the engine;
 /// models reach it through [`Ctx::probe`](crate::Ctx::probe).
+///
+/// Every per-key vector has one entry per registered name; `None` marks
+/// an entry never touched, which the report leaves out.
 #[derive(Debug, Default)]
 pub struct Probe {
     cfg: ProbeConfig,
-    counters: BTreeMap<&'static str, u64>,
-    depths: BTreeMap<Key, DepthTrack>,
-    busy: BTreeMap<Key, BusyTracker>,
-    hops: BTreeMap<&'static str, Histogram>,
+    /// The name table: a [`ProbeKey`] indexes this and every vector below.
+    names: Vec<&'static str>,
+    counters: Vec<Option<u64>>,
+    hops: Vec<Option<Histogram>>,
+    /// Per key, one gauge per instance [`Slot`].
+    depths: Vec<Vec<Option<DepthTrack>>>,
+    /// Per key, one busy tracker per instance [`Slot`].
+    busy: Vec<Vec<Option<BusyTracker>>>,
     /// Per-request time of the most recent mark.
     // Ordered map so a report that ever walks the in-flight set (e.g. to
     // list stuck requests) does so in request-id order, not hasher order.
@@ -176,6 +280,52 @@ impl Probe {
         }
     }
 
+    /// Register the model's name table (see [`probe_keys!`](crate::probe_keys)):
+    /// entry `i` becomes [`ProbeKey`] `i`. Call once, before recording.
+    /// A no-op on a disabled probe, which then allocates nothing.
+    #[must_use]
+    pub fn register(mut self, names: &'static [&'static str]) -> Probe {
+        if !self.cfg.enabled {
+            return self;
+        }
+        debug_assert!(
+            self.names.is_empty(),
+            "probe names must be registered before any are resolved"
+        );
+        debug_assert!(
+            names
+                .iter()
+                .enumerate()
+                .all(|(i, n)| !names[..i].contains(n)),
+            "a probe name is registered twice: {names:?}"
+        );
+        self.names.extend_from_slice(names);
+        self.fit_names();
+        self
+    }
+
+    /// Size every per-key vector to the name table.
+    fn fit_names(&mut self) {
+        let n = self.names.len();
+        self.counters.resize(n, None);
+        self.hops.resize_with(n, || None);
+        self.depths.resize_with(n, Vec::new);
+        self.busy.resize_with(n, Vec::new);
+    }
+
+    /// The key of `name`, appending it to the table when unknown.
+    fn resolve(&mut self, name: &'static str) -> ProbeKey {
+        let index = match self.names.iter().position(|n| *n == name) {
+            Some(i) => i,
+            None => {
+                self.names.push(name);
+                self.fit_names();
+                self.names.len() - 1
+            }
+        };
+        ProbeKey::new(index as u32)
+    }
+
     /// Whether any recording happens at all.
     pub fn is_enabled(&self) -> bool {
         self.cfg.enabled
@@ -186,29 +336,29 @@ impl Probe {
         self.cfg
     }
 
-    fn count_n(&mut self, name: &'static str, n: u64) {
-        *self.counters.entry(name).or_insert(0) += n;
+    #[inline]
+    fn count_n(&mut self, key: ProbeKey, n: u64) {
+        *self.counters[key.index()].get_or_insert(0) += n;
     }
 
-    fn hop(&mut self, name: &'static str, dt: SimDuration) {
-        self.hops
-            .entry(name)
-            .or_insert_with(Histogram::latency)
+    #[inline]
+    fn hop(&mut self, key: ProbeKey, dt: SimDuration) {
+        self.hops[key.index()]
+            .get_or_insert_with(Histogram::latency)
             .record(dt.as_nanos());
     }
 
-    fn depth(&mut self, key: Key, now: SimTime, depth: u64) {
-        self.depths
-            .entry(key)
-            .or_insert_with(DepthTrack::new)
+    #[inline]
+    fn depth(&mut self, key: ProbeKey, slot: Slot, now: SimTime, depth: u64) {
+        instance(&mut self.depths[key.index()], slot)
+            .get_or_insert_with(DepthTrack::new)
             .set(now, depth);
     }
 
-    fn busy(&mut self, key: Key, now: SimTime, busy: bool) {
-        let tracker = self
-            .busy
-            .entry(key)
-            .or_insert_with(|| BusyTracker::new(SimTime::ZERO));
+    #[inline]
+    fn busy(&mut self, key: ProbeKey, slot: Slot, now: SimTime, busy: bool) {
+        let tracker = instance(&mut self.busy[key.index()], slot)
+            .get_or_insert_with(|| BusyTracker::new(SimTime::ZERO));
         if busy {
             tracker.set_busy(now);
         } else {
@@ -216,7 +366,7 @@ impl Probe {
         }
     }
 
-    fn trace_event(&mut self, now: SimTime, req: u64, stage: &'static str) {
+    fn trace_event(&mut self, now: SimTime, req: u64, key: ProbeKey) {
         if self.cfg.trace_capacity == 0 {
             return;
         }
@@ -224,24 +374,24 @@ impl Probe {
             self.trace.push(TraceEvent {
                 at: now,
                 req,
-                stage,
+                stage: self.names[key.index()],
             });
         } else {
             self.trace_dropped += 1;
         }
     }
 
-    fn mark(&mut self, now: SimTime, req: u64, stage: &'static str) {
-        self.trace_event(now, req, stage);
+    fn mark(&mut self, now: SimTime, req: u64, key: ProbeKey) {
+        self.trace_event(now, req, key);
         if let Some(prev) = self.inflight.insert(req, now) {
-            self.hop(stage, now.saturating_duration_since(prev));
+            self.hop(key, now.saturating_duration_since(prev));
         }
     }
 
-    fn finish(&mut self, now: SimTime, req: u64, stage: &'static str) {
-        self.trace_event(now, req, stage);
+    fn finish(&mut self, now: SimTime, req: u64, key: ProbeKey) {
+        self.trace_event(now, req, key);
         if let Some(prev) = self.inflight.remove(&req) {
-            self.hop(stage, now.saturating_duration_since(prev));
+            self.hop(key, now.saturating_duration_since(prev));
         }
     }
 
@@ -251,32 +401,41 @@ impl Probe {
     /// horizon). The trace buffer is drained into the report.
     pub fn report(&mut self, now: SimTime) -> StageReport {
         let window = now.saturating_duration_since(SimTime::ZERO);
-        let mut names: Vec<Key> = self
-            .busy
-            .keys()
-            .chain(self.depths.keys())
-            .copied()
-            .collect();
-        names.sort_unstable();
-        names.dedup();
-        let stages = names
+        // Every touched (name, slot) pair; names are unique, so this sorts
+        // like the `(name, Option<u32>)` keys it encodes.
+        let mut gauges: Vec<(&'static str, Slot, usize)> = Vec::new();
+        for (k, name) in self.names.iter().enumerate() {
+            let (depths, busy) = (&self.depths[k], &self.busy[k]);
+            for slot in 0..depths.len().max(busy.len()) {
+                let touched = depths.get(slot).is_some_and(Option::is_some)
+                    || busy.get(slot).is_some_and(Option::is_some);
+                if touched {
+                    gauges.push((name, slot, k));
+                }
+            }
+        }
+        gauges.sort_unstable();
+        let stages = gauges
             .into_iter()
-            .map(|key| {
-                let (utilization, transitions) = self
-                    .busy
-                    .get(&key)
+            .map(|(name, slot, k)| {
+                let (utilization, transitions) = self.busy[k]
+                    .get(slot)
+                    .and_then(Option::as_ref)
                     .map(|b| (b.utilization(now), b.transitions()))
                     .unwrap_or((0.0, 0));
-                let (mean_depth, p99_depth, peak_depth) = self
-                    .depths
-                    .get_mut(&key)
+                let (mean_depth, p99_depth, peak_depth) = self.depths[k]
+                    .get_mut(slot)
+                    .and_then(Option::as_mut)
                     .map(|d| {
                         d.flush(now);
                         (d.tw.mean_until(now), d.hist.p99().unwrap_or(0), d.tw.peak())
                     })
                     .unwrap_or((0.0, 0, 0.0));
                 StageStat {
-                    name: key_label(&key),
+                    name: match slot {
+                        0 => name.to_string(),
+                        _ => format!("{name}[{}]", slot - 1),
+                    },
                     utilization,
                     busy_transitions: transitions,
                     mean_depth,
@@ -285,11 +444,10 @@ impl Probe {
                 }
             })
             .collect();
-        let hops = self
-            .hops
-            .iter()
+        let hops = touched_by_name(&self.names, &self.hops)
+            .into_iter()
             .map(|(name, h)| HopStat {
-                name: (*name).to_string(),
+                name: name.to_string(),
                 count: h.count(),
                 mean: SimDuration::from_nanos_f64(h.mean()),
                 p50: SimDuration::from_nanos(h.p50().unwrap_or(0)),
@@ -297,10 +455,9 @@ impl Probe {
                 max: SimDuration::from_nanos(h.max().unwrap_or(0)),
             })
             .collect();
-        let counters = self
-            .counters
-            .iter()
-            .map(|(k, v)| ((*k).to_string(), *v))
+        let counters = touched_by_name(&self.names, &self.counters)
+            .into_iter()
+            .map(|(name, v)| (name.to_string(), *v))
             .collect();
         let mut trace = std::mem::take(&mut self.trace);
         trace.sort_by_key(|e| (e.at, e.req));
@@ -337,59 +494,64 @@ impl<'a> ProbeHandle<'a> {
         self.probe.is_some()
     }
 
-    /// Increment counter `name` by one.
+    /// Increment counter `name` by one. A registered [`ProbeKey`] is an
+    /// index; a `&'static str` costs a linear search of the name table
+    /// (see [`CounterName`]).
     #[inline]
-    pub fn count(&mut self, name: &'static str) {
-        self.count_n(name, 1);
-    }
-
-    /// Increment counter `name` by `n`.
-    #[inline]
-    pub fn count_n(&mut self, name: &'static str, n: u64) {
+    pub fn count(&mut self, name: impl CounterName) {
         if let Some(p) = self.probe.as_deref_mut() {
-            p.count_n(name, n);
+            let key = name.key(p);
+            p.count_n(key, 1);
         }
     }
 
-    /// Record one latency sample for hop `name`.
+    /// Increment counter `key` by `n`.
     #[inline]
-    pub fn hop(&mut self, name: &'static str, dt: SimDuration) {
+    pub fn count_n(&mut self, key: ProbeKey, n: u64) {
         if let Some(p) = self.probe.as_deref_mut() {
-            p.hop(name, dt);
+            p.count_n(key, n);
         }
     }
 
-    /// Record the instantaneous depth of queue `name`.
+    /// Record one latency sample for hop `key`.
     #[inline]
-    pub fn depth(&mut self, name: &'static str, depth: usize) {
+    pub fn hop(&mut self, key: ProbeKey, dt: SimDuration) {
         if let Some(p) = self.probe.as_deref_mut() {
-            p.depth((name, None), self.now, depth as u64);
+            p.hop(key, dt);
         }
     }
 
-    /// Record the depth of instance `index` of queue `name`
-    /// (e.g. worker 3's VF ring: `depth_i("worker.ring", 3, n)`).
+    /// Record the instantaneous depth of queue `key`.
     #[inline]
-    pub fn depth_i(&mut self, name: &'static str, index: usize, depth: usize) {
+    pub fn depth(&mut self, key: ProbeKey, depth: usize) {
         if let Some(p) = self.probe.as_deref_mut() {
-            p.depth((name, Some(index as u32)), self.now, depth as u64);
+            p.depth(key, 0, self.now, depth as u64);
         }
     }
 
-    /// Record stage `name` entering (`true`) or leaving (`false`) its
+    /// Record the depth of instance `index` of queue `key`
+    /// (e.g. worker 3's VF ring: `depth_i(key::WORKER_RING, 3, n)`).
+    #[inline]
+    pub fn depth_i(&mut self, key: ProbeKey, index: usize, depth: usize) {
+        if let Some(p) = self.probe.as_deref_mut() {
+            p.depth(key, index + 1, self.now, depth as u64);
+        }
+    }
+
+    /// Record stage `key` entering (`true`) or leaving (`false`) its
     /// busy state. Transitions are idempotent.
     #[inline]
-    pub fn busy(&mut self, name: &'static str, busy: bool) {
+    pub fn busy(&mut self, key: ProbeKey, busy: bool) {
         if let Some(p) = self.probe.as_deref_mut() {
-            p.busy((name, None), self.now, busy);
+            p.busy(key, 0, self.now, busy);
         }
     }
 
     /// Per-instance variant of [`busy`](Self::busy).
     #[inline]
-    pub fn busy_i(&mut self, name: &'static str, index: usize, busy: bool) {
+    pub fn busy_i(&mut self, key: ProbeKey, index: usize, busy: bool) {
         if let Some(p) = self.probe.as_deref_mut() {
-            p.busy((name, Some(index as u32)), self.now, busy);
+            p.busy(key, index + 1, self.now, busy);
         }
     }
 
@@ -397,7 +559,7 @@ impl<'a> ProbeHandle<'a> {
     /// its previous mark as one sample of hop `stage`. The first mark of
     /// a request starts its chain without recording a hop.
     #[inline]
-    pub fn mark(&mut self, req: u64, stage: &'static str) {
+    pub fn mark(&mut self, req: u64, stage: ProbeKey) {
         if let Some(p) = self.probe.as_deref_mut() {
             p.mark(self.now, req, stage);
         }
@@ -406,7 +568,7 @@ impl<'a> ProbeHandle<'a> {
     /// Final mark of a request's chain; records the last hop and forgets
     /// the request.
     #[inline]
-    pub fn finish(&mut self, req: u64, stage: &'static str) {
+    pub fn finish(&mut self, req: u64, stage: ProbeKey) {
         if let Some(p) = self.probe.as_deref_mut() {
             p.finish(self.now, req, stage);
         }
@@ -558,19 +720,40 @@ impl fmt::Display for StageReport {
 mod tests {
     use super::*;
 
+    crate::probe_keys! {
+        mod key {
+            A = "a",
+            B = "b",
+            Q = "q",
+            NET = "net",
+            WORKER = "worker",
+            WORKER_RING = "worker.ring",
+            NET_FRAMES = "net.frames",
+            PATH_0_SEND = "path.0_send",
+            PATH_1_PARSE = "path.1_parse",
+            PATH_2_RUN = "path.2_run",
+            PATH_3_DONE = "path.3_done",
+        }
+    }
+
     fn us(n: u64) -> SimTime {
         SimTime::from_micros(n)
     }
 
+    fn probe(cfg: ProbeConfig) -> Probe {
+        Probe::new(cfg).register(key::NAMES)
+    }
+
     #[test]
     fn disabled_probe_records_nothing() {
-        let mut p = Probe::new(ProbeConfig::disabled());
+        let mut p = probe(ProbeConfig::disabled());
         {
             let mut h = ProbeHandle::new(us(1), None);
             assert!(!h.enabled());
+            h.count(key::A);
             h.count("x");
-            h.mark(1, "path.a");
-            h.depth("q", 5);
+            h.mark(1, key::PATH_0_SEND);
+            h.depth(key::Q, 5);
         }
         let r = p.report(us(10));
         assert!(r.stages.is_empty());
@@ -579,28 +762,88 @@ mod tests {
     }
 
     #[test]
+    fn register_on_a_disabled_probe_allocates_nothing() {
+        let p = probe(ProbeConfig::disabled());
+        assert_eq!(p.names.capacity(), 0);
+        assert_eq!(p.counters.capacity(), 0);
+        assert_eq!(p.hops.capacity(), 0);
+        assert_eq!(p.depths.capacity(), 0);
+        assert_eq!(p.busy.capacity(), 0);
+    }
+
+    #[test]
     fn counters_accumulate() {
-        let mut p = Probe::new(ProbeConfig::enabled());
+        let mut p = probe(ProbeConfig::enabled());
         {
             let mut h = ProbeHandle::new(us(0), Some(&mut p));
-            h.count("a");
-            h.count_n("a", 2);
-            h.count("b");
+            h.count(key::A);
+            h.count_n(key::A, 2);
+            h.count(key::B);
+            h.count_n(key::Q, 0);
         }
         let r = p.report(us(1));
         assert_eq!(r.counter("a"), 3);
         assert_eq!(r.counter("b"), 1);
         assert_eq!(r.counter("missing"), 0);
+        assert!(
+            r.counters.iter().any(|(n, v)| n == "q" && *v == 0),
+            "a zero increment still creates its counter: {:?}",
+            r.counters
+        );
+        assert!(!r.counters.iter().any(|(n, _)| n == "net"), "untouched");
+    }
+
+    #[test]
+    fn named_count_lands_in_the_registered_counter() {
+        let mut p = probe(ProbeConfig::enabled());
+        {
+            let mut h = ProbeHandle::new(us(0), Some(&mut p));
+            h.count(key::NET_FRAMES);
+            h.count("net.frames");
+        }
+        assert_eq!(p.names.len(), key::NAMES.len(), "no second slot");
+        let r = p.report(us(1));
+        assert_eq!(r.counters, vec![("net.frames".to_string(), 2)]);
+    }
+
+    #[test]
+    fn unregistered_name_is_appended_and_reported() {
+        let mut p = probe(ProbeConfig::enabled());
+        {
+            let mut h = ProbeHandle::new(us(0), Some(&mut p));
+            h.count("zz.late");
+            h.count("aa.late");
+            h.count("zz.late");
+            h.count(key::B);
+        }
+        assert_eq!(p.names.len(), key::NAMES.len() + 2);
+        let r = p.report(us(1));
+        let names: Vec<_> = r.counters.iter().map(|(n, v)| (n.as_str(), *v)).collect();
+        assert_eq!(names, vec![("aa.late", 1), ("b", 1), ("zz.late", 2)]);
+    }
+
+    #[test]
+    fn unregistered_probe_resolves_names_on_first_use() {
+        let mut p = Probe::new(ProbeConfig::enabled());
+        ProbeHandle::new(us(0), Some(&mut p)).count("only");
+        assert_eq!(p.report(us(1)).counter("only"), 1);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "registered twice")]
+    fn duplicate_registration_is_rejected() {
+        let _ = Probe::new(ProbeConfig::enabled()).register(&["a", "b", "a"]);
     }
 
     #[test]
     fn mark_chain_telescopes_to_sojourn() {
-        let mut p = Probe::new(ProbeConfig::enabled());
+        let mut p = probe(ProbeConfig::enabled());
         // Request 7: send at 10us, parse at 12us, run at 15us, done at 20us.
-        ProbeHandle::new(us(10), Some(&mut p)).mark(7, "path.0_send");
-        ProbeHandle::new(us(12), Some(&mut p)).mark(7, "path.1_parse");
-        ProbeHandle::new(us(15), Some(&mut p)).mark(7, "path.2_run");
-        ProbeHandle::new(us(20), Some(&mut p)).finish(7, "path.3_done");
+        ProbeHandle::new(us(10), Some(&mut p)).mark(7, key::PATH_0_SEND);
+        ProbeHandle::new(us(12), Some(&mut p)).mark(7, key::PATH_1_PARSE);
+        ProbeHandle::new(us(15), Some(&mut p)).mark(7, key::PATH_2_RUN);
+        ProbeHandle::new(us(20), Some(&mut p)).finish(7, key::PATH_3_DONE);
         let r = p.report(us(20));
         // First mark records no hop; the three following hops sum to the
         // 10us sojourn.
@@ -615,10 +858,10 @@ mod tests {
 
     #[test]
     fn depth_gauge_time_weights() {
-        let mut p = Probe::new(ProbeConfig::enabled());
-        ProbeHandle::new(us(0), Some(&mut p)).depth("q", 0);
-        ProbeHandle::new(us(2), Some(&mut p)).depth("q", 4);
-        ProbeHandle::new(us(8), Some(&mut p)).depth("q", 1);
+        let mut p = probe(ProbeConfig::enabled());
+        ProbeHandle::new(us(0), Some(&mut p)).depth(key::Q, 0);
+        ProbeHandle::new(us(2), Some(&mut p)).depth(key::Q, 4);
+        ProbeHandle::new(us(8), Some(&mut p)).depth(key::Q, 1);
         let r = p.report(us(10));
         let s = r.stage("q").unwrap();
         // (0*2 + 4*6 + 1*2) / 10 = 2.6
@@ -630,9 +873,9 @@ mod tests {
 
     #[test]
     fn busy_tracker_reports_utilization() {
-        let mut p = Probe::new(ProbeConfig::enabled());
-        ProbeHandle::new(us(2), Some(&mut p)).busy("net", true);
-        ProbeHandle::new(us(7), Some(&mut p)).busy("net", false);
+        let mut p = probe(ProbeConfig::enabled());
+        ProbeHandle::new(us(2), Some(&mut p)).busy(key::NET, true);
+        ProbeHandle::new(us(7), Some(&mut p)).busy(key::NET, false);
         let r = p.report(us(10));
         let s = r.stage("net").unwrap();
         assert!((s.utilization - 0.5).abs() < 1e-9);
@@ -641,37 +884,66 @@ mod tests {
 
     #[test]
     fn instances_render_with_index() {
-        let mut p = Probe::new(ProbeConfig::enabled());
-        ProbeHandle::new(us(1), Some(&mut p)).depth_i("worker.ring", 3, 2);
-        ProbeHandle::new(us(1), Some(&mut p)).busy_i("worker", 0, true);
+        let mut p = probe(ProbeConfig::enabled());
+        ProbeHandle::new(us(1), Some(&mut p)).depth_i(key::WORKER_RING, 3, 2);
+        ProbeHandle::new(us(1), Some(&mut p)).busy_i(key::WORKER, 0, true);
         let r = p.report(us(2));
         assert!(r.stage("worker.ring[3]").is_some());
         assert!(r.stage("worker[0]").is_some());
     }
 
     #[test]
+    fn instance_slots_grow_on_demand() {
+        let mut p = probe(ProbeConfig::enabled());
+        ProbeHandle::new(us(1), Some(&mut p)).depth_i(key::WORKER_RING, 2, 1);
+        assert_eq!(p.depths[key::WORKER_RING.index()].len(), 4, "slots 0..=3");
+        ProbeHandle::new(us(1), Some(&mut p)).depth_i(key::WORKER_RING, 11, 1);
+        assert_eq!(p.depths[key::WORKER_RING.index()].len(), 13);
+        let r = p.report(us(2));
+        let names: Vec<_> = r.stages.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(
+            names,
+            ["worker.ring[2]", "worker.ring[11]"],
+            "numeric instance order"
+        );
+    }
+
+    #[test]
+    fn plain_gauge_sorts_before_instance_zero() {
+        let mut p = probe(ProbeConfig::enabled());
+        ProbeHandle::new(us(1), Some(&mut p)).busy_i(key::WORKER, 1, true);
+        ProbeHandle::new(us(1), Some(&mut p)).busy_i(key::WORKER, 0, true);
+        ProbeHandle::new(us(1), Some(&mut p)).depth(key::WORKER, 3);
+        ProbeHandle::new(us(1), Some(&mut p)).depth(key::Q, 3);
+        let r = p.report(us(2));
+        let names: Vec<_> = r.stages.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["q", "worker", "worker[0]", "worker[1]"]);
+    }
+
+    #[test]
     fn trace_is_bounded_and_ordered() {
-        let mut p = Probe::new(ProbeConfig::with_trace(3));
-        ProbeHandle::new(us(3), Some(&mut p)).mark(2, "path.b");
-        ProbeHandle::new(us(1), Some(&mut p)).mark(1, "path.a");
-        ProbeHandle::new(us(4), Some(&mut p)).mark(3, "path.c");
-        ProbeHandle::new(us(5), Some(&mut p)).mark(4, "path.d");
+        let mut p = probe(ProbeConfig::with_trace(3));
+        ProbeHandle::new(us(3), Some(&mut p)).mark(2, key::PATH_1_PARSE);
+        ProbeHandle::new(us(1), Some(&mut p)).mark(1, key::PATH_0_SEND);
+        ProbeHandle::new(us(4), Some(&mut p)).mark(3, key::PATH_2_RUN);
+        ProbeHandle::new(us(5), Some(&mut p)).mark(4, key::PATH_3_DONE);
         let r = p.report(us(10));
         assert_eq!(r.trace.len(), 3);
         assert_eq!(r.trace_dropped, 1);
         assert_eq!(r.trace[0].req, 1, "sorted by time");
+        assert_eq!(r.trace[0].stage, "path.0_send");
         assert!(r.trace.windows(2).all(|w| w[0].at <= w[1].at));
     }
 
     #[test]
     fn report_renders_as_table() {
-        let mut p = Probe::new(ProbeConfig::enabled());
-        ProbeHandle::new(us(1), Some(&mut p)).count("net.frames");
-        ProbeHandle::new(us(1), Some(&mut p)).mark(1, "path.0_send");
-        ProbeHandle::new(us(2), Some(&mut p)).finish(1, "path.1_done");
+        let mut p = probe(ProbeConfig::enabled());
+        ProbeHandle::new(us(1), Some(&mut p)).count(key::NET_FRAMES);
+        ProbeHandle::new(us(1), Some(&mut p)).mark(1, key::PATH_0_SEND);
+        ProbeHandle::new(us(2), Some(&mut p)).finish(1, key::PATH_1_PARSE);
         let text = p.report(us(2)).to_string();
         assert!(text.contains("net.frames"));
-        assert!(text.contains("path.1_done"));
+        assert!(text.contains("path.1_parse"));
         assert!(text.contains("chain sum"));
     }
 }

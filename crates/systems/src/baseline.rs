@@ -28,6 +28,28 @@ use crate::common::{
     FAULT_SEED_SALT,
 };
 
+// Every probe name this assembly records, registered once per run.
+sim_core::probe_keys! {
+    mod key {
+        CLIENT_RESPONSES = "client.responses",
+        CLIENT_RETRIES = "client.retries",
+        CLIENT_SENT = "client.sent",
+        NIC_RX_FRAMES = "nic.rx_frames",
+        PATH_0_CLIENT_SEND = "path.0_client_send",
+        PATH_1_WORKER_START = "path.1_worker_start",
+        PATH_2_WORKER_DONE = "path.2_worker_done",
+        PATH_3_RESPONSE = "path.3_response",
+        WIRE_REQ_LOST = "wire.req_lost",
+        WIRE_RESP_LOST = "wire.resp_lost",
+        WORKER = "worker",
+        WORKER_COMPLETED = "worker.completed",
+        WORKER_IDLE_GAP = "worker.idle_gap",
+        WORKER_RING = "worker.ring",
+        WORKER_STEALS = "worker.steals",
+        WORKER_STRANDED = "worker.stranded",
+    }
+}
+
 /// Elastic-RSS controller period: "provisions cores for applications on
 /// the us scale" (§5.1(1)).
 const ERSS_INTERVAL: SimDuration = SimDuration::from_micros(20);
@@ -189,14 +211,14 @@ impl Baseline {
         let now = ctx.now();
         if ctx.faults().burst_frame_lost(now) {
             self.req_lost += 1;
-            ctx.probe().count("wire.req_lost");
+            ctx.probe().count(key::WIRE_REQ_LOST);
             return;
         }
         match self.client_link.transmit_lossy(now, payload_len) {
             Some(arrive) => ctx.schedule_at(arrive, Ev::WireToNic(bytes)),
             None => {
                 self.req_lost += 1;
-                ctx.probe().count("wire.req_lost");
+                ctx.probe().count(key::WIRE_REQ_LOST);
             }
         }
     }
@@ -207,14 +229,14 @@ impl Baseline {
         let bytes = spec.build();
         if ctx.faults().burst_frame_lost(depart) {
             self.resp_lost += 1;
-            ctx.probe().count("wire.resp_lost");
+            ctx.probe().count(key::WIRE_RESP_LOST);
             return;
         }
         match self.server_link.transmit_lossy(depart, payload_len) {
             Some(arrive) => ctx.schedule_at(arrive, Ev::ClientResp(bytes)),
             None => {
                 self.resp_lost += 1;
-                ctx.probe().count("wire.resp_lost");
+                ctx.probe().count(key::WIRE_RESP_LOST);
             }
         }
     }
@@ -281,14 +303,14 @@ impl Baseline {
         }
         let Some((data, steal_cost)) = self.take_work(w) else {
             self.workers[w].core.set_idle(ctx.now());
-            ctx.probe().busy_i("worker", w, false);
+            ctx.probe().busy_i(key::WORKER, w, false);
             if self.workers[w].idle_since.is_none() {
                 self.workers[w].idle_since = Some(ctx.now());
             }
             return;
         };
         if steal_cost > SimDuration::ZERO {
-            ctx.probe().count("worker.steals");
+            ctx.probe().count(key::WORKER_STEALS);
         }
         let Ok(parsed) = ParsedFrame::parse(&data) else {
             ctx.schedule_now(Ev::WorkerPoll(w));
@@ -301,10 +323,10 @@ impl Baseline {
         let msg = parsed.msg;
         if let Some(idle_at) = self.workers[w].idle_since.take() {
             let gap = ctx.now().saturating_duration_since(idle_at);
-            ctx.probe().hop("worker.idle_gap", gap);
+            ctx.probe().hop(key::WORKER_IDLE_GAP, gap);
         }
-        ctx.probe().mark(msg.req_id, "path.1_worker_start");
-        ctx.probe().busy_i("worker", w, true);
+        ctx.probe().mark(msg.req_id, key::PATH_1_WORKER_START);
+        ctx.probe().busy_i(key::WORKER, w, true);
         // Run-to-completion: the worker is its own networking subsystem.
         let overhead = steal_cost
             + params::HOST_NET_PER_PACKET
@@ -340,12 +362,12 @@ impl Baseline {
                 // Died mid-request: no response ever leaves this core.
                 self.ctx_pool.discard(msg.req_id);
                 self.stranded += 1;
-                ctx.probe().count("worker.stranded");
+                ctx.probe().count(key::WORKER_STRANDED);
                 return;
             }
         }
-        ctx.probe().count("worker.completed");
-        ctx.probe().mark(msg.req_id, "path.2_worker_done");
+        ctx.probe().count(key::WORKER_COMPLETED);
+        ctx.probe().mark(msg.req_id, key::PATH_2_WORKER_DONE);
         let resp = FrameSpec {
             src_mac: AddressPlan::dispatcher_mac(),
             dst_mac: AddressPlan::client_mac(),
@@ -384,8 +406,8 @@ impl Model for Baseline {
                 }
                 let spec = self.client.make_request(ctx.now());
                 let req_id = spec.msg.req_id;
-                ctx.probe().count("client.sent");
-                ctx.probe().mark(req_id, "path.0_client_send");
+                ctx.probe().count(key::CLIENT_SENT);
+                ctx.probe().mark(req_id, key::PATH_0_CLIENT_SEND);
                 self.send_request(&spec, ctx);
                 if let Some((attempt, timeout)) = self.client.arm_timeout(req_id) {
                     ctx.schedule_in(timeout, Ev::ClientTimeout { req_id, attempt });
@@ -398,7 +420,7 @@ impl Model for Baseline {
                     return;
                 };
                 if let Some(d) = self.nic.steer(&parsed) {
-                    ctx.probe().count("nic.rx_frames");
+                    ctx.probe().count(key::NIC_RX_FRAMES);
                     let now = ctx.now();
                     if self.cfg.kind != BaselineKind::RssStealing
                         && ctx.faults().worker_crashed(d.queue, now)
@@ -406,12 +428,12 @@ impl Model for Baseline {
                         // Hash-steered to a dead core with nobody to steal
                         // it: the request is stranded in silicon.
                         self.stranded += 1;
-                        ctx.probe().count("worker.stranded");
+                        ctx.probe().count(key::WORKER_STRANDED);
                         return;
                     }
                     self.nic.iface_mut(d.iface).rx[d.queue].push(ctx.now(), bytes);
                     let depth = self.nic.iface(d.iface).rx[d.queue].len();
-                    ctx.probe().depth_i("worker.ring", d.queue, depth);
+                    ctx.probe().depth_i(key::WORKER_RING, d.queue, depth);
                     if !self.workers[d.queue].busy {
                         ctx.schedule_now(Ev::WorkerPoll(d.queue));
                     } else if self.cfg.kind == BaselineKind::RssStealing {
@@ -428,8 +450,8 @@ impl Model for Baseline {
             Ev::ErssTick => self.erss_tick(ctx),
             Ev::ClientResp(bytes) => {
                 if let Ok(parsed) = ParsedFrame::parse(&bytes) {
-                    ctx.probe().count("client.responses");
-                    ctx.probe().finish(parsed.msg.req_id, "path.3_response");
+                    ctx.probe().count(key::CLIENT_RESPONSES);
+                    ctx.probe().finish(parsed.msg.req_id, key::PATH_3_RESPONSE);
                     self.client.on_response(ctx.now(), &parsed);
                 }
             }
@@ -440,7 +462,7 @@ impl Model for Baseline {
                     timeout,
                 } = self.client.on_timeout(ctx.now(), req_id, attempt)
                 {
-                    ctx.probe().count("client.retries");
+                    ctx.probe().count(key::CLIENT_RETRIES);
                     self.send_request(&frame, ctx);
                     ctx.schedule_in(timeout, Ev::ClientTimeout { req_id, attempt });
                 }
@@ -497,7 +519,7 @@ fn run_inner(
     res: ResilienceConfig,
 ) -> (RunMetrics, f64) {
     let mut engine = Engine::new(Baseline::new(spec, cfg, res));
-    engine.set_probe(Probe::new(probe));
+    engine.set_probe(Probe::new(probe).register(key::NAMES));
     engine.set_invariants(crate::common::checker_for(&res));
     if res.is_active() {
         engine.set_faults(FaultPlan::new(res.faults, spec.seed ^ FAULT_SEED_SALT));

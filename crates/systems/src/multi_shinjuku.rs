@@ -31,6 +31,45 @@ use crate::common::{
     FAULT_SEED_SALT,
 };
 
+// Every probe name this assembly records, registered once per run.
+sim_core::probe_keys! {
+    mod key {
+        CLIENT_NACKS = "client.nacks",
+        CLIENT_RESPONSES = "client.responses",
+        CLIENT_RETRIES = "client.retries",
+        CLIENT_SENT = "client.sent",
+        DISP_ASSIGN = "disp.assign",
+        DISP_DONE = "disp.done",
+        DISP_ENQUEUE = "disp.enqueue",
+        DISP_HEARTBEAT = "disp.heartbeat",
+        DISP_NACK = "disp.nack",
+        DISP_PREEMPT_REQUEUE = "disp.preempt_requeue",
+        DISP_SHED = "disp.shed",
+        DISPATCHER = "dispatcher",
+        DISPATCHER_CENTRAL = "dispatcher.central",
+        DISPATCHER_INBOX = "dispatcher.inbox",
+        NETWORKER = "networker",
+        NETWORKER_PARSED = "networker.parsed",
+        NETWORKER_RING = "networker.ring",
+        NIC_RX_FRAMES = "nic.rx_frames",
+        PATH_0_CLIENT_SEND = "path.0_client_send",
+        PATH_1_HOST_NET = "path.1_host_net",
+        PATH_2_DISPATCH = "path.2_dispatch",
+        PATH_3_WORKER_START = "path.3_worker_start",
+        PATH_4_WORKER_DONE = "path.4_worker_done",
+        PATH_5_RESPONSE = "path.5_response",
+        RECOVERY_REDISPATCH = "recovery.redispatch",
+        WIRE_REQ_LOST = "wire.req_lost",
+        WIRE_RESP_LOST = "wire.resp_lost",
+        WORKER = "worker",
+        WORKER_COMPLETED = "worker.completed",
+        WORKER_DUP_KILLED = "worker.dup_killed",
+        WORKER_INBOX = "worker.inbox",
+        WORKER_PREEMPTED = "worker.preempted",
+        WORKER_STRANDED = "worker.stranded",
+    }
+}
+
 /// Configuration of a multi-dispatcher Shinjuku.
 #[derive(Debug, Clone, Copy)]
 pub struct MultiShinjukuConfig {
@@ -239,14 +278,14 @@ impl MultiShinjuku {
         let now = ctx.now();
         if ctx.faults().burst_frame_lost(now) {
             self.req_lost += 1;
-            ctx.probe().count("wire.req_lost");
+            ctx.probe().count(key::WIRE_REQ_LOST);
             return;
         }
         match self.client_link.transmit_lossy(now, payload_len) {
             Some(arrive) => ctx.schedule_at(arrive, Ev::WireToNic(bytes)),
             None => {
                 self.req_lost += 1;
-                ctx.probe().count("wire.req_lost");
+                ctx.probe().count(key::WIRE_REQ_LOST);
             }
         }
     }
@@ -257,14 +296,14 @@ impl MultiShinjuku {
         let bytes = spec.build();
         if ctx.faults().burst_frame_lost(depart) {
             self.resp_lost += 1;
-            ctx.probe().count("wire.resp_lost");
+            ctx.probe().count(key::WIRE_RESP_LOST);
             return;
         }
         match self.server_link.transmit_lossy(depart, payload_len) {
             Some(arrive) => ctx.schedule_at(arrive, Ev::ClientResp(bytes)),
             None => {
                 self.resp_lost += 1;
-                ctx.probe().count("wire.resp_lost");
+                ctx.probe().count(key::WIRE_RESP_LOST);
             }
         }
     }
@@ -272,7 +311,7 @@ impl MultiShinjuku {
     fn start_networker(&mut self, g: usize, ctx: &mut Ctx<'_, Ev>) {
         if !self.groups[g].networker_busy && !self.nic.iface(self.net_iface).rx[g].is_empty() {
             self.groups[g].networker_busy = true;
-            ctx.probe().busy_i("networker", g, true);
+            ctx.probe().busy_i(key::NETWORKER, g, true);
             ctx.schedule_in(params::HOST_NET_PER_PACKET, Ev::NetworkerDone(g));
         }
     }
@@ -294,7 +333,7 @@ impl MultiShinjuku {
             if let Some(item) = group.disp_queue.front() {
                 group.disp_busy = true;
                 let cost = Self::disp_item_cost(item);
-                ctx.probe().busy_i("dispatcher", g, true);
+                ctx.probe().busy_i(key::DISPATCHER, g, true);
                 ctx.schedule_in(cost, Ev::DispDone(g));
             }
         }
@@ -318,14 +357,14 @@ impl MultiShinjuku {
         let Some(task) = self.groups[g].workers[local].inbox.pop_front() else {
             self.groups[g].workers[local].core.set_idle(ctx.now());
             let global = g * self.cfg.workers_per_group + local;
-            ctx.probe().busy_i("worker", global, false);
+            ctx.probe().busy_i(key::WORKER, global, false);
             return;
         };
         let global = g * self.cfg.workers_per_group + local;
         let depth = self.groups[g].workers[local].inbox.len();
-        ctx.probe().mark(task.req_id, "path.3_worker_start");
-        ctx.probe().busy_i("worker", global, true);
-        ctx.probe().depth_i("worker.inbox", global, depth);
+        ctx.probe().mark(task.req_id, key::PATH_3_WORKER_START);
+        ctx.probe().busy_i(key::WORKER, global, true);
+        ctx.probe().depth_i(key::WORKER_INBOX, global, depth);
         let ctx_op = self.ctx_pool.begin(task.req_id);
         let mut overhead = ContextPool::op_cost(ctx_op, &self.ctx_costs, &self.host);
         // Per-dispatch grants stamped by the group's policy survive the
@@ -378,12 +417,12 @@ impl MultiShinjuku {
             // the group dispatcher, and its cap-1 slot stays occupied.
             self.ctx_pool.discard(task.req_id);
             self.stranded += 1;
-            ctx.probe().count("worker.stranded");
+            ctx.probe().count(key::WORKER_STRANDED);
             return;
         }
         if task.remaining <= run {
-            ctx.probe().count("worker.completed");
-            ctx.probe().mark(task.req_id, "path.4_worker_done");
+            ctx.probe().count(key::WORKER_COMPLETED);
+            ctx.probe().mark(task.req_id, key::PATH_4_WORKER_DONE);
             let resp_built = now + params::WORKER_TX_COST;
             let resp = FrameSpec {
                 src_mac: AddressPlan::dispatcher_mac(),
@@ -421,7 +460,7 @@ impl MultiShinjuku {
             if self.ctx_pool.is_saved(after.req_id) {
                 // A retransmitted copy of this request is already suspended:
                 // kill this copy and free the worker slot via Done.
-                ctx.probe().count("worker.dup_killed");
+                ctx.probe().count(key::WORKER_DUP_KILLED);
                 let free_at = now + TimerMode::DuneMapped.deliver_cost(&self.host);
                 ctx.schedule_at(
                     free_at + params::HOST_QUEUE_HOP,
@@ -437,7 +476,7 @@ impl MultiShinjuku {
                 return;
             }
             self.preemptions += 1;
-            ctx.probe().count("worker.preempted");
+            ctx.probe().count(key::WORKER_PREEMPTED);
             self.ctx_pool.save(after.req_id);
             let free_at = now
                 + TimerMode::DuneMapped.deliver_cost(&self.host)
@@ -485,8 +524,8 @@ impl Model for MultiShinjuku {
                 }
                 let spec = self.client.make_request(ctx.now());
                 let req_id = spec.msg.req_id;
-                ctx.probe().count("client.sent");
-                ctx.probe().mark(req_id, "path.0_client_send");
+                ctx.probe().count(key::CLIENT_SENT);
+                ctx.probe().mark(req_id, key::PATH_0_CLIENT_SEND);
                 self.send_request(&spec, ctx);
                 if let Some((attempt, timeout)) = self.client.arm_timeout(req_id) {
                     ctx.schedule_in(timeout, Ev::ClientTimeout { req_id, attempt });
@@ -499,22 +538,22 @@ impl Model for MultiShinjuku {
                     return;
                 };
                 if let Some(d) = self.nic.steer(&parsed) {
-                    ctx.probe().count("nic.rx_frames");
+                    ctx.probe().count(key::NIC_RX_FRAMES);
                     self.nic.iface_mut(d.iface).rx[d.queue].push(ctx.now(), bytes);
                     let depth = self.nic.iface(d.iface).rx[d.queue].len();
-                    ctx.probe().depth_i("networker.ring", d.queue, depth);
+                    ctx.probe().depth_i(key::NETWORKER_RING, d.queue, depth);
                     self.start_networker(d.queue, ctx);
                 }
             }
             Ev::NetworkerDone(g) => {
                 self.groups[g].networker_busy = false;
-                ctx.probe().busy_i("networker", g, false);
-                ctx.probe().count("networker.parsed");
+                ctx.probe().busy_i(key::NETWORKER, g, false);
+                ctx.probe().count(key::NETWORKER_PARSED);
                 if let Some(frame) = self.nic.iface_mut(self.net_iface).rx[g].pop() {
                     if let Ok(parsed) = ParsedFrame::parse(&frame.data) {
                         if parsed.msg.kind == MsgKind::Request {
                             let m = parsed.msg;
-                            ctx.probe().mark(m.req_id, "path.1_host_net");
+                            ctx.probe().mark(m.req_id, key::PATH_1_HOST_NET);
                             let task = Task::new(
                                 m.req_id,
                                 m.client_id,
@@ -535,28 +574,28 @@ impl Model for MultiShinjuku {
             Ev::DispPush(g, item) => {
                 self.groups[g].disp_queue.push_back(item);
                 let depth = self.groups[g].disp_queue.len();
-                ctx.probe().depth_i("dispatcher.inbox", g, depth);
+                ctx.probe().depth_i(key::DISPATCHER_INBOX, g, depth);
                 self.start_dispatcher(g, ctx);
             }
             Ev::DispDone(g) => {
                 self.groups[g].disp_busy = false;
-                ctx.probe().busy_i("dispatcher", g, false);
+                ctx.probe().busy_i(key::DISPATCHER, g, false);
                 if let Some(item) = self.groups[g].disp_queue.pop_front() {
                     let now = ctx.now();
                     let assignments = match item {
                         DispItem::NewTask(task) => {
-                            ctx.probe().mark(task.req_id, "path.2_dispatch");
+                            ctx.probe().mark(task.req_id, key::PATH_2_DISPATCH);
                             match self.groups[g].dispatcher.offer(now, task) {
                                 nicsched::AdmitOutcome::Admitted(v) => {
                                     self.groups[g].admitted += 1;
-                                    ctx.probe().count("disp.enqueue");
+                                    ctx.probe().count(key::DISP_ENQUEUE);
                                     v
                                 }
                                 nicsched::AdmitOutcome::Shed { nack } => {
-                                    ctx.probe().count("disp.shed");
+                                    ctx.probe().count(key::DISP_SHED);
                                     if nack {
                                         self.nacks += 1;
-                                        ctx.probe().count("disp.nack");
+                                        ctx.probe().count(key::DISP_NACK);
                                         let frame = FrameSpec {
                                             src_mac: AddressPlan::dispatcher_mac(),
                                             dst_mac: AddressPlan::client_mac(),
@@ -584,18 +623,18 @@ impl Model for MultiShinjuku {
                             local_worker,
                             req_id,
                         } => {
-                            ctx.probe().count("disp.done");
+                            ctx.probe().count(key::DISP_DONE);
                             self.groups[g].dispatcher.on_done(now, local_worker, req_id)
                         }
                         DispItem::Preempted { local_worker, task } => {
-                            ctx.probe().count("disp.preempt_requeue");
-                            ctx.probe().mark(task.req_id, "path.2_dispatch");
+                            ctx.probe().count(key::DISP_PREEMPT_REQUEUE);
+                            ctx.probe().mark(task.req_id, key::PATH_2_DISPATCH);
                             self.groups[g]
                                 .dispatcher
                                 .on_preempted(now, local_worker, task)
                         }
                         DispItem::Emit(a) => {
-                            ctx.probe().count("disp.assign");
+                            ctx.probe().count(key::DISP_ASSIGN);
                             ctx.schedule_in(
                                 params::HOST_QUEUE_HOP,
                                 Ev::WorkerTask(g, a.worker, a.task),
@@ -603,7 +642,7 @@ impl Model for MultiShinjuku {
                             Vec::new()
                         }
                         DispItem::Heartbeat { local_worker } => {
-                            ctx.probe().count("disp.heartbeat");
+                            ctx.probe().count(key::DISP_HEARTBEAT);
                             self.groups[g].dispatcher.on_heartbeat(now, local_worker)
                         }
                     };
@@ -611,7 +650,7 @@ impl Model for MultiShinjuku {
                         self.groups[g].disp_queue.push_front(DispItem::Emit(a));
                     }
                     let central = self.groups[g].dispatcher.queue_len();
-                    ctx.probe().depth_i("dispatcher.central", g, central);
+                    ctx.probe().depth_i(key::DISPATCHER_CENTRAL, g, central);
                 }
                 self.start_dispatcher(g, ctx);
             }
@@ -623,7 +662,7 @@ impl Model for MultiShinjuku {
                         // Delivered into a dead core: stranded on arrival.
                         self.ctx_pool.discard(task.req_id);
                         self.stranded += 1;
-                        ctx.probe().count("worker.stranded");
+                        ctx.probe().count(key::WORKER_STRANDED);
                         return;
                     }
                 }
@@ -639,7 +678,7 @@ impl Model for MultiShinjuku {
                     return;
                 };
                 if parsed.msg.kind == MsgKind::Nack {
-                    ctx.probe().count("client.nacks");
+                    ctx.probe().count(key::CLIENT_NACKS);
                     let req_id = parsed.msg.req_id;
                     if let TimeoutOutcome::Retry {
                         frame,
@@ -647,14 +686,14 @@ impl Model for MultiShinjuku {
                         timeout,
                     } = self.client.on_nack(ctx.now(), req_id)
                     {
-                        ctx.probe().count("client.retries");
+                        ctx.probe().count(key::CLIENT_RETRIES);
                         self.send_request(&frame, ctx);
                         ctx.schedule_in(timeout, Ev::ClientTimeout { req_id, attempt });
                     }
                     return;
                 }
-                ctx.probe().count("client.responses");
-                ctx.probe().finish(parsed.msg.req_id, "path.5_response");
+                ctx.probe().count(key::CLIENT_RESPONSES);
+                ctx.probe().finish(parsed.msg.req_id, key::PATH_5_RESPONSE);
                 self.client.on_response(ctx.now(), &parsed);
             }
             Ev::ClientTimeout { req_id, attempt } => {
@@ -664,7 +703,7 @@ impl Model for MultiShinjuku {
                     timeout,
                 } = self.client.on_timeout(ctx.now(), req_id, attempt)
                 {
-                    ctx.probe().count("client.retries");
+                    ctx.probe().count(key::CLIENT_RETRIES);
                     self.send_request(&frame, ctx);
                     ctx.schedule_in(timeout, Ev::ClientTimeout { req_id, attempt });
                 }
@@ -697,7 +736,7 @@ impl Model for MultiShinjuku {
                 // orphans within this group on the same tick.
                 let recovered = self.groups[g].dispatcher.check_health(now);
                 if !recovered.is_empty() {
-                    ctx.probe().count("recovery.redispatch");
+                    ctx.probe().count(key::RECOVERY_REDISPATCH);
                 }
                 for a in recovered {
                     ctx.schedule_now(Ev::DispPush(g, DispItem::Emit(a)));
@@ -740,7 +779,7 @@ pub fn run_resilient_probed(
     res: ResilienceConfig,
 ) -> MultiRunMetrics {
     let mut engine = Engine::new(MultiShinjuku::new(spec, cfg, res));
-    engine.set_probe(Probe::new(probe));
+    engine.set_probe(Probe::new(probe).register(key::NAMES));
     engine.set_invariants(crate::common::checker_for(&res));
     if res.is_active() {
         engine.set_faults(FaultPlan::new(res.faults, spec.seed ^ FAULT_SEED_SALT));

@@ -44,6 +44,53 @@ use crate::common::{
     TimeoutOutcome, FAULT_SEED_SALT,
 };
 
+// Every probe name this assembly records, registered once per run.
+sim_core::probe_keys! {
+    mod key {
+        CLIENT_NACKS = "client.nacks",
+        CLIENT_RESPONSES = "client.responses",
+        CLIENT_RETRIES = "client.retries",
+        CLIENT_SENT = "client.sent",
+        FALLBACK_SWITCH = "fallback.switch",
+        NETWORKER = "networker",
+        NETWORKER_PARSED = "networker.parsed",
+        NETWORKER_RING = "networker.ring",
+        NIC_RX_FRAMES = "nic.rx_frames",
+        PATH_0_CLIENT_SEND = "path.0_client_send",
+        PATH_1_NIC_PARSE = "path.1_nic_parse",
+        PATH_2_QM_ADMIT = "path.2_qm_admit",
+        PATH_3_TX_BUILD = "path.3_tx_build",
+        PATH_4_WORKER_START = "path.4_worker_start",
+        PATH_5_WORKER_DONE = "path.5_worker_done",
+        PATH_6_RESPONSE = "path.6_response",
+        QM = "qm",
+        QM_CENTRAL = "qm.central",
+        QM_DONE = "qm.done",
+        QM_ENQUEUE = "qm.enqueue",
+        QM_HEARTBEAT = "qm.heartbeat",
+        QM_INBOX = "qm.inbox",
+        QM_PREEMPT_REQUEUE = "qm.preempt_requeue",
+        QM_SHED = "qm.shed",
+        RECOVERY_REDISPATCH = "recovery.redispatch",
+        RX = "rx",
+        RX_NOTIFS = "rx.notifs",
+        RX_QUEUE = "rx.queue",
+        TX = "tx",
+        TX_BUILT = "tx.built",
+        TX_QUEUE = "tx.queue",
+        WIRE_REQ_LOST = "wire.req_lost",
+        WIRE_RESP_LOST = "wire.resp_lost",
+        WORKER = "worker",
+        WORKER_COMPLETED = "worker.completed",
+        WORKER_DUP_KILLED = "worker.dup_killed",
+        WORKER_IDLE_GAP = "worker.idle_gap",
+        WORKER_PREEMPTED = "worker.preempted",
+        WORKER_RING = "worker.ring",
+        WORKER_RING_DROPS = "worker.ring_drops",
+        WORKER_STRANDED = "worker.stranded",
+    }
+}
+
 /// Configuration of a Shinjuku-Offload instance.
 #[derive(Debug, Clone, Copy)]
 pub struct OffloadConfig {
@@ -370,14 +417,14 @@ impl Offload {
         let now = ctx.now();
         if ctx.faults().burst_frame_lost(now) {
             self.req_lost += 1;
-            ctx.probe().count("wire.req_lost");
+            ctx.probe().count(key::WIRE_REQ_LOST);
             return;
         }
         match self.client_link.transmit_lossy(ctx.now(), payload_len) {
             Some(arrive) => ctx.schedule_at(arrive, Ev::WireToNic(bytes)),
             None => {
                 self.req_lost += 1;
-                ctx.probe().count("wire.req_lost");
+                ctx.probe().count(key::WIRE_REQ_LOST);
             }
         }
     }
@@ -389,14 +436,14 @@ impl Offload {
         let bytes = spec.build();
         if ctx.faults().burst_frame_lost(depart) {
             self.resp_lost += 1;
-            ctx.probe().count("wire.resp_lost");
+            ctx.probe().count(key::WIRE_RESP_LOST);
             return;
         }
         match self.server_link.transmit_lossy(depart, payload_len) {
             Some(arrive) => ctx.schedule_at(arrive, Ev::ClientResp(bytes)),
             None => {
                 self.resp_lost += 1;
-                ctx.probe().count("wire.resp_lost");
+                ctx.probe().count(key::WIRE_RESP_LOST);
             }
         }
     }
@@ -412,7 +459,7 @@ impl Offload {
         let ring = &self.nic.iface(self.disp_iface).rx[0];
         if !self.networker.busy && !ring.is_empty() {
             self.networker.busy = true;
-            ctx.probe().busy("networker", true);
+            ctx.probe().busy(key::NETWORKER, true);
             ctx.schedule_in(
                 self.stage_cost(params::ARM_NET_PARSE_CYCLES),
                 Ev::NetworkerDone,
@@ -423,7 +470,7 @@ impl Offload {
     fn start_qm(&mut self, ctx: &mut Ctx<'_, Ev>) {
         if !self.qm.busy && !self.qm.queue.is_empty() {
             self.qm.busy = true;
-            ctx.probe().busy("qm", true);
+            ctx.probe().busy(key::QM, true);
             ctx.schedule_in(self.stage_cost(params::ARM_QUEUE_OP_CYCLES), Ev::QmDone);
         }
     }
@@ -431,7 +478,7 @@ impl Offload {
     fn start_tx(&mut self, ctx: &mut Ctx<'_, Ev>) {
         if !self.tx.busy && !self.tx.queue.is_empty() {
             self.tx.busy = true;
-            ctx.probe().busy("tx", true);
+            ctx.probe().busy(key::TX, true);
             ctx.schedule_in(self.stage_cost(params::ARM_TX_BUILD_CYCLES), Ev::TxDone);
         }
     }
@@ -439,7 +486,7 @@ impl Offload {
     fn start_rx(&mut self, ctx: &mut Ctx<'_, Ev>) {
         if !self.rx.busy && !self.rx.queue.is_empty() {
             self.rx.busy = true;
-            ctx.probe().busy("rx", true);
+            ctx.probe().busy(key::RX, true);
             ctx.schedule_in(self.stage_cost(params::ARM_RX_PARSE_CYCLES), Ev::RxDone);
         }
     }
@@ -469,19 +516,19 @@ impl Offload {
         let iface = self.worker_iface[w];
         let Some(frame) = self.nic.iface_mut(iface).rx[0].pop() else {
             self.workers[w].core.set_idle(ctx.now());
-            ctx.probe().busy_i("worker", w, false);
+            ctx.probe().busy_i(key::WORKER, w, false);
             if self.workers[w].idle_since.is_none() {
                 self.workers[w].idle_since = Some(ctx.now());
             }
             return;
         };
         let ring_depth = self.nic.iface(iface).rx[0].len();
-        ctx.probe().depth_i("worker.ring", w, ring_depth);
+        ctx.probe().depth_i(key::WORKER_RING, w, ring_depth);
         // The measured feedback gap: how long this worker sat idle before
         // the NIC's (stale) view caught up and delivered more work.
         if let Some(idle_at) = self.workers[w].idle_since.take() {
             let gap = ctx.now().saturating_duration_since(idle_at);
-            ctx.probe().hop("worker.idle_gap", gap);
+            ctx.probe().hop(key::WORKER_IDLE_GAP, gap);
         }
         let parsed = match ParsedFrame::parse(&frame.data) {
             Ok(p) if p.msg.kind == MsgKind::Assign => p,
@@ -547,8 +594,8 @@ impl Offload {
             None => task.remaining,
         };
 
-        ctx.probe().mark(task.req_id, "path.4_worker_start");
-        ctx.probe().busy_i("worker", w, true);
+        ctx.probe().mark(task.req_id, key::PATH_4_WORKER_START);
+        ctx.probe().busy_i(key::WORKER, w, true);
         // A slowdown window stretches wall time; `run` stays in work units
         // so the finish/preempt decision at run end is unchanged.
         let slow = {
@@ -603,14 +650,14 @@ impl Offload {
             // feeding the corpse.
             self.ctx_pool.discard(task.req_id);
             self.stranded += 1;
-            ctx.probe().count("worker.stranded");
+            ctx.probe().count(key::WORKER_STRANDED);
             return;
         }
         let finished = task.remaining <= run;
 
         if finished {
-            ctx.probe().count("worker.completed");
-            ctx.probe().mark(task.req_id, "path.5_worker_done");
+            ctx.probe().count(key::WORKER_COMPLETED);
+            ctx.probe().mark(task.req_id, key::PATH_5_WORKER_DONE);
             // Response to the client and Done to the dispatcher: two
             // packets, built back to back (§3.4.3).
             let resp_built = now + params::WORKER_TX_COST;
@@ -669,7 +716,7 @@ impl Offload {
                 // in DRAM: saving a second context would fork the request.
                 // Kill this copy — the saved context owns the request — and
                 // release the worker slot with a Done notification.
-                ctx.probe().count("worker.dup_killed");
+                ctx.probe().count(key::WORKER_DUP_KILLED);
                 let free_at = now + self.preempt_receive_cost() + params::WORKER_TX_COST;
                 let done = self.notif_spec(
                     w,
@@ -691,7 +738,7 @@ impl Offload {
                 ctx.schedule_at(free_at, Ev::WorkerPoll(w));
                 return;
             }
-            ctx.probe().count("worker.preempted");
+            ctx.probe().count(key::WORKER_PREEMPTED);
             self.preemptions += 1;
             self.workers[w].core.preemptions += 1;
             self.ctx_pool.save(after.req_id);
@@ -737,8 +784,8 @@ impl Model for Offload {
                 }
                 let spec = self.client.make_request(ctx.now());
                 let req_id = spec.msg.req_id;
-                ctx.probe().count("client.sent");
-                ctx.probe().mark(req_id, "path.0_client_send");
+                ctx.probe().count(key::CLIENT_SENT);
+                ctx.probe().mark(req_id, key::PATH_0_CLIENT_SEND);
                 self.send_request(&spec, ctx);
                 if let Some((attempt, timeout)) = self.client.arm_timeout(req_id) {
                     ctx.schedule_in(timeout, Ev::ClientTimeout { req_id, attempt });
@@ -753,9 +800,9 @@ impl Model for Offload {
                 if let Some(d) = self.nic.steer(&parsed) {
                     self.nic.iface_mut(d.iface).rx[d.queue].push(ctx.now(), bytes);
                     if d.iface == self.disp_iface {
-                        ctx.probe().count("nic.rx_frames");
+                        ctx.probe().count(key::NIC_RX_FRAMES);
                         let depth = self.nic.iface(self.disp_iface).rx[0].len();
-                        ctx.probe().depth("networker.ring", depth);
+                        ctx.probe().depth(key::NETWORKER_RING, depth);
                         self.start_networker(ctx);
                     }
                 }
@@ -763,15 +810,15 @@ impl Model for Offload {
             Ev::NetworkerDone => {
                 self.networker.busy = false;
                 self.networker.processed += 1;
-                ctx.probe().busy("networker", false);
-                ctx.probe().count("networker.parsed");
+                ctx.probe().busy(key::NETWORKER, false);
+                ctx.probe().count(key::NETWORKER_PARSED);
                 if let Some(frame) = self.nic.iface_mut(self.disp_iface).rx[0].pop() {
                     let depth = self.nic.iface(self.disp_iface).rx[0].len();
-                    ctx.probe().depth("networker.ring", depth);
+                    ctx.probe().depth(key::NETWORKER_RING, depth);
                     if let Ok(parsed) = ParsedFrame::parse(&frame.data) {
                         if parsed.msg.kind == MsgKind::Request {
                             let msg = parsed.msg;
-                            ctx.probe().mark(msg.req_id, "path.1_nic_parse");
+                            ctx.probe().mark(msg.req_id, key::PATH_1_NIC_PARSE);
                             let task = Task::new(
                                 msg.req_id,
                                 msg.client_id,
@@ -791,26 +838,26 @@ impl Model for Offload {
             }
             Ev::QmPush(item) => {
                 self.qm.queue.push_back(item);
-                ctx.probe().depth("qm.inbox", self.qm.queue.len());
+                ctx.probe().depth(key::QM_INBOX, self.qm.queue.len());
                 self.start_qm(ctx);
             }
             Ev::QmDone => {
                 self.qm.busy = false;
                 self.qm.processed += 1;
-                ctx.probe().busy("qm", false);
+                ctx.probe().busy(key::QM, false);
                 if let Some(item) = self.qm.queue.pop_front() {
-                    ctx.probe().depth("qm.inbox", self.qm.queue.len());
+                    ctx.probe().depth(key::QM_INBOX, self.qm.queue.len());
                     let now = ctx.now();
                     let assignments = match item {
                         QmItem::NewTask(task) => match self.dispatcher.offer(now, task) {
                             AdmitOutcome::Admitted(assignments) => {
-                                ctx.probe().count("qm.enqueue");
-                                ctx.probe().mark(task.req_id, "path.2_qm_admit");
+                                ctx.probe().count(key::QM_ENQUEUE);
+                                ctx.probe().mark(task.req_id, key::PATH_2_QM_ADMIT);
                                 self.task_meta.insert(task.req_id, task.arrived_at);
                                 assignments
                             }
                             AdmitOutcome::Shed { nack } => {
-                                ctx.probe().count("qm.shed");
+                                ctx.probe().count(key::QM_SHED);
                                 if nack {
                                     self.nacks += 1;
                                     let spec = FrameSpec {
@@ -836,38 +883,39 @@ impl Model for Offload {
                             }
                         },
                         QmItem::Done { worker, req_id } => {
-                            ctx.probe().count("qm.done");
+                            ctx.probe().count(key::QM_DONE);
                             self.task_meta.remove(&req_id);
                             self.dispatcher.on_done(now, worker, req_id)
                         }
                         QmItem::Preempted { worker, task } => {
-                            ctx.probe().count("qm.preempt_requeue");
-                            ctx.probe().mark(task.req_id, "path.2_qm_admit");
+                            ctx.probe().count(key::QM_PREEMPT_REQUEUE);
+                            ctx.probe().mark(task.req_id, key::PATH_2_QM_ADMIT);
                             self.dispatcher.on_preempted(now, worker, task)
                         }
                         QmItem::Heartbeat { worker } => {
-                            ctx.probe().count("qm.heartbeat");
+                            ctx.probe().count(key::QM_HEARTBEAT);
                             self.dispatcher.on_heartbeat(now, worker)
                         }
                     };
-                    ctx.probe().depth("qm.central", self.dispatcher.queue_len());
+                    ctx.probe()
+                        .depth(key::QM_CENTRAL, self.dispatcher.queue_len());
                     self.emit_assignments(assignments, ctx);
                 }
                 self.start_qm(ctx);
             }
             Ev::TxPush(a) => {
                 self.tx.queue.push_back(a);
-                ctx.probe().depth("tx.queue", self.tx.queue.len());
+                ctx.probe().depth(key::TX_QUEUE, self.tx.queue.len());
                 self.start_tx(ctx);
             }
             Ev::TxDone => {
                 self.tx.busy = false;
                 self.tx.processed += 1;
-                ctx.probe().busy("tx", false);
-                ctx.probe().count("tx.built");
+                ctx.probe().busy(key::TX, false);
+                ctx.probe().count(key::TX_BUILT);
                 if let Some(a) = self.tx.queue.pop_front() {
-                    ctx.probe().depth("tx.queue", self.tx.queue.len());
-                    ctx.probe().mark(a.task.req_id, "path.3_tx_build");
+                    ctx.probe().depth(key::TX_QUEUE, self.tx.queue.len());
+                    ctx.probe().mark(a.task.req_id, key::PATH_3_TX_BUILD);
                     let t = a.task;
                     let spec = FrameSpec {
                         src_mac: AddressPlan::dispatcher_mac(),
@@ -900,7 +948,7 @@ impl Model for Offload {
                     // Delivered to a dead worker's ring: nobody will ever
                     // poll it out.
                     self.stranded += 1;
-                    ctx.probe().count("worker.stranded");
+                    ctx.probe().count(key::WORKER_STRANDED);
                     return;
                 }
                 // DDIO placement happens at DMA time.
@@ -915,13 +963,13 @@ impl Model for Offload {
                 let iface = self.worker_iface[w];
                 if self.nic.iface_mut(iface).rx[0].push(ctx.now(), bytes) {
                     let depth = self.nic.iface(iface).rx[0].len();
-                    ctx.probe().depth_i("worker.ring", w, depth);
+                    ctx.probe().depth_i(key::WORKER_RING, w, depth);
                     self.workers[w].pending_placement.push_back(placement);
                     if self.workers[w].running.is_none() {
                         ctx.schedule_now(Ev::WorkerPoll(w));
                     }
                 } else {
-                    ctx.probe().count("worker.ring_drops");
+                    ctx.probe().count(key::WORKER_RING_DROPS);
                     self.ddio.release(placement, lines);
                 }
             }
@@ -929,16 +977,16 @@ impl Model for Offload {
             Ev::WorkerRunEnd { worker, gen } => self.worker_run_end(worker, gen, ctx),
             Ev::RxNotif(bytes) => {
                 self.rx.queue.push_back(bytes);
-                ctx.probe().depth("rx.queue", self.rx.queue.len());
+                ctx.probe().depth(key::RX_QUEUE, self.rx.queue.len());
                 self.start_rx(ctx);
             }
             Ev::RxDone => {
                 self.rx.busy = false;
                 self.rx.processed += 1;
-                ctx.probe().busy("rx", false);
-                ctx.probe().count("rx.notifs");
+                ctx.probe().busy(key::RX, false);
+                ctx.probe().count(key::RX_NOTIFS);
                 if let Some(bytes) = self.rx.queue.pop_front() {
-                    ctx.probe().depth("rx.queue", self.rx.queue.len());
+                    ctx.probe().depth(key::RX_QUEUE, self.rx.queue.len());
                     if let Ok(parsed) = ParsedFrame::parse(&bytes) {
                         if let Some(&w) = self.worker_by_mac.get(&parsed.eth.src_addr) {
                             let msg = parsed.msg;
@@ -982,7 +1030,7 @@ impl Model for Offload {
             Ev::ClientResp(bytes) => {
                 if let Ok(parsed) = ParsedFrame::parse(&bytes) {
                     if parsed.msg.kind == MsgKind::Nack {
-                        ctx.probe().count("client.nacks");
+                        ctx.probe().count(key::CLIENT_NACKS);
                         let req_id = parsed.msg.req_id;
                         if let TimeoutOutcome::Retry {
                             frame,
@@ -990,14 +1038,14 @@ impl Model for Offload {
                             timeout,
                         } = self.client.on_nack(ctx.now(), req_id)
                         {
-                            ctx.probe().count("client.retries");
+                            ctx.probe().count(key::CLIENT_RETRIES);
                             self.send_request(&frame, ctx);
                             ctx.schedule_in(timeout, Ev::ClientTimeout { req_id, attempt });
                         }
                         return;
                     }
-                    ctx.probe().count("client.responses");
-                    ctx.probe().finish(parsed.msg.req_id, "path.6_response");
+                    ctx.probe().count(key::CLIENT_RESPONSES);
+                    ctx.probe().finish(parsed.msg.req_id, key::PATH_6_RESPONSE);
                     self.client.on_response(ctx.now(), &parsed);
                 }
             }
@@ -1008,7 +1056,7 @@ impl Model for Offload {
                     timeout,
                 } = self.client.on_timeout(ctx.now(), req_id, attempt)
                 {
-                    ctx.probe().count("client.retries");
+                    ctx.probe().count(key::CLIENT_RETRIES);
                     self.send_request(&frame, ctx);
                     ctx.schedule_in(timeout, Ev::ClientTimeout { req_id, attempt });
                 }
@@ -1031,7 +1079,7 @@ impl Model for Offload {
                     let was_degraded = gov.is_degraded();
                     gov.evaluate(now, &mut self.dispatcher);
                     if gov.is_degraded() != was_degraded {
-                        ctx.probe().count("fallback.switch");
+                        ctx.probe().count(key::FALLBACK_SWITCH);
                     }
                     assignments = self.dispatcher.kick(now);
                     next = Some(gov.policy().heartbeat);
@@ -1064,7 +1112,7 @@ impl Model for Offload {
                     // with everything else (no wall clocks).
                     let recovered = self.dispatcher.check_health(now);
                     if !recovered.is_empty() {
-                        ctx.probe().count("recovery.redispatch");
+                        ctx.probe().count(key::RECOVERY_REDISPATCH);
                     }
                     assignments.extend(recovered);
                     next = Some(
@@ -1095,7 +1143,7 @@ pub fn run_resilient_probed(
     res: ResilienceConfig,
 ) -> RunMetrics {
     let mut engine = Engine::new(Offload::new(spec, cfg, res));
-    engine.set_probe(Probe::new(probe));
+    engine.set_probe(Probe::new(probe).register(key::NAMES));
     engine.set_invariants(crate::common::checker_for(&res));
     if res.is_active() {
         engine.set_faults(FaultPlan::new(res.faults, spec.seed ^ FAULT_SEED_SALT));

@@ -29,6 +29,30 @@ use crate::common::{
     FAULT_SEED_SALT,
 };
 
+// Every probe name this assembly records, registered once per run.
+sim_core::probe_keys! {
+    mod key {
+        CLIENT_RESPONSES = "client.responses",
+        CLIENT_RETRIES = "client.retries",
+        CLIENT_SENT = "client.sent",
+        NI_QUEUE = "ni.queue",
+        NI_REQUESTS = "ni.requests",
+        PATH_0_CLIENT_SEND = "path.0_client_send",
+        PATH_1_NI_DISPATCH = "path.1_ni_dispatch",
+        PATH_2_WORKER_START = "path.2_worker_start",
+        PATH_3_WORKER_DONE = "path.3_worker_done",
+        PATH_4_RESPONSE = "path.4_response",
+        RECOVERY_REDISPATCH = "recovery.redispatch",
+        WIRE_REQ_LOST = "wire.req_lost",
+        WIRE_RESP_LOST = "wire.resp_lost",
+        WORKER = "worker",
+        WORKER_COMPLETED = "worker.completed",
+        WORKER_IDLE_GAP = "worker.idle_gap",
+        WORKER_STRANDED = "worker.stranded",
+        WORKER_ZOMBIE_DROPPED = "worker.zombie_dropped",
+    }
+}
+
 /// Configuration of an RPCValet-style system.
 #[derive(Debug, Clone, Copy)]
 pub struct RpcValetConfig {
@@ -141,14 +165,14 @@ impl RpcValet {
         let now = ctx.now();
         if ctx.faults().burst_frame_lost(now) {
             self.req_lost += 1;
-            ctx.probe().count("wire.req_lost");
+            ctx.probe().count(key::WIRE_REQ_LOST);
             return;
         }
         match self.client_link.transmit_lossy(now, payload_len) {
             Some(arrive) => ctx.schedule_at(arrive, Ev::NiArrive(bytes)),
             None => {
                 self.req_lost += 1;
-                ctx.probe().count("wire.req_lost");
+                ctx.probe().count(key::WIRE_REQ_LOST);
             }
         }
     }
@@ -159,14 +183,14 @@ impl RpcValet {
         let bytes = spec.build();
         if ctx.faults().burst_frame_lost(depart) {
             self.resp_lost += 1;
-            ctx.probe().count("wire.resp_lost");
+            ctx.probe().count(key::WIRE_RESP_LOST);
             return;
         }
         match self.server_link.transmit_lossy(depart, payload_len) {
             Some(arrive) => ctx.schedule_at(arrive, Ev::ClientResp(bytes)),
             None => {
                 self.resp_lost += 1;
-                ctx.probe().count("wire.resp_lost");
+                ctx.probe().count(key::WIRE_RESP_LOST);
             }
         }
     }
@@ -203,8 +227,8 @@ impl Model for RpcValet {
                     return;
                 }
                 let spec = self.client.make_request(ctx.now());
-                ctx.probe().count("client.sent");
-                ctx.probe().mark(spec.msg.req_id, "path.0_client_send");
+                ctx.probe().count(key::CLIENT_SENT);
+                ctx.probe().mark(spec.msg.req_id, key::PATH_0_CLIENT_SEND);
                 let req_id = spec.msg.req_id;
                 self.send_request(&spec, ctx);
                 if let Some((attempt, timeout)) = self.client.arm_timeout(req_id) {
@@ -221,8 +245,8 @@ impl Model for RpcValet {
                     return;
                 }
                 let m = parsed.msg;
-                ctx.probe().count("ni.requests");
-                ctx.probe().mark(m.req_id, "path.1_ni_dispatch");
+                ctx.probe().count(key::NI_REQUESTS);
+                ctx.probe().mark(m.req_id, key::PATH_1_NI_DISPATCH);
                 let task = Task::new(
                     m.req_id,
                     m.client_id,
@@ -233,7 +257,7 @@ impl Model for RpcValet {
                 );
                 let assignments = self.dispatcher.on_request(ctx.now(), task);
                 let depth = self.dispatcher.queue_len();
-                ctx.probe().depth("ni.queue", depth);
+                ctx.probe().depth(key::NI_QUEUE, depth);
                 self.emit(assignments, ctx);
             }
             Ev::Deliver(w, task) => {
@@ -243,7 +267,7 @@ impl Model for RpcValet {
                     // re-dispatched the request, so the hardware drops the
                     // zombie instead of double-running it.
                     self.ctx_pool.discard(task.req_id);
-                    ctx.probe().count("worker.zombie_dropped");
+                    ctx.probe().count(key::WORKER_ZOMBIE_DROPPED);
                     return;
                 }
                 {
@@ -254,7 +278,7 @@ impl Model for RpcValet {
                         // occupied and no further work lands here.
                         self.ctx_pool.discard(task.req_id);
                         self.stranded += 1;
-                        ctx.probe().count("worker.stranded");
+                        ctx.probe().count(key::WORKER_STRANDED);
                         return;
                     }
                     if let Some(resume) = ctx.faults().worker_stalled_until(w, now) {
@@ -265,10 +289,10 @@ impl Model for RpcValet {
                 debug_assert!(self.workers[w].running.is_none(), "cap-1 violated");
                 if let Some(idle_at) = self.workers[w].idle_since.take() {
                     let gap = ctx.now().saturating_duration_since(idle_at);
-                    ctx.probe().hop("worker.idle_gap", gap);
+                    ctx.probe().hop(key::WORKER_IDLE_GAP, gap);
                 }
-                ctx.probe().mark(task.req_id, "path.2_worker_start");
-                ctx.probe().busy_i("worker", w, true);
+                ctx.probe().mark(task.req_id, key::PATH_2_WORKER_START);
+                ctx.probe().busy_i(key::WORKER, w, true);
                 let overhead = ContextPool::op_cost(
                     self.ctx_pool.begin(task.req_id),
                     &self.ctx_costs,
@@ -296,12 +320,12 @@ impl Model for RpcValet {
                     // Died mid-request: no response, no completion signal.
                     self.ctx_pool.discard(task.req_id);
                     self.stranded += 1;
-                    ctx.probe().count("worker.stranded");
+                    ctx.probe().count(key::WORKER_STRANDED);
                     return;
                 }
-                ctx.probe().count("worker.completed");
-                ctx.probe().mark(task.req_id, "path.3_worker_done");
-                ctx.probe().busy_i("worker", w, false);
+                ctx.probe().count(key::WORKER_COMPLETED);
+                ctx.probe().mark(task.req_id, key::PATH_3_WORKER_DONE);
+                ctx.probe().busy_i(key::WORKER, w, false);
                 self.workers[w].idle_since = Some(now);
                 let resp_built = now + params::WORKER_TX_COST;
                 let resp = FrameSpec {
@@ -334,8 +358,8 @@ impl Model for RpcValet {
             }
             Ev::ClientResp(bytes) => {
                 if let Ok(parsed) = ParsedFrame::parse(&bytes) {
-                    ctx.probe().count("client.responses");
-                    ctx.probe().finish(parsed.msg.req_id, "path.4_response");
+                    ctx.probe().count(key::CLIENT_RESPONSES);
+                    ctx.probe().finish(parsed.msg.req_id, key::PATH_4_RESPONSE);
                     self.client.on_response(ctx.now(), &parsed);
                 }
             }
@@ -346,7 +370,7 @@ impl Model for RpcValet {
                     timeout,
                 } = self.client.on_timeout(ctx.now(), req_id, attempt)
                 {
-                    ctx.probe().count("client.retries");
+                    ctx.probe().count(key::CLIENT_RETRIES);
                     self.send_request(&frame, ctx);
                     ctx.schedule_in(timeout, Ev::ClientTimeout { req_id, attempt });
                 }
@@ -371,7 +395,7 @@ impl Model for RpcValet {
                 }
                 let recovered = self.dispatcher.check_health(now);
                 if !recovered.is_empty() {
-                    ctx.probe().count("recovery.redispatch");
+                    ctx.probe().count(key::RECOVERY_REDISPATCH);
                 }
                 assignments.extend(recovered);
                 self.emit(assignments, ctx);
@@ -398,7 +422,7 @@ pub fn run_resilient_probed(
     res: ResilienceConfig,
 ) -> RunMetrics {
     let mut engine = Engine::new(RpcValet::new(spec, cfg, res));
-    engine.set_probe(Probe::new(probe));
+    engine.set_probe(Probe::new(probe).register(key::NAMES));
     engine.set_invariants(crate::common::checker_for(&res));
     if res.is_active() {
         engine.set_faults(FaultPlan::new(res.faults, spec.seed ^ FAULT_SEED_SALT));

@@ -31,6 +31,44 @@ use crate::common::{
     TimeoutOutcome, FAULT_SEED_SALT,
 };
 
+// Every probe name this assembly records, registered once per run.
+sim_core::probe_keys! {
+    mod key {
+        CLIENT_NACKS = "client.nacks",
+        CLIENT_RESPONSES = "client.responses",
+        CLIENT_RETRIES = "client.retries",
+        CLIENT_SENT = "client.sent",
+        DISP_ASSIGN = "disp.assign",
+        DISP_DONE = "disp.done",
+        DISP_ENQUEUE = "disp.enqueue",
+        DISP_HEARTBEAT = "disp.heartbeat",
+        DISP_PREEMPT_REQUEUE = "disp.preempt_requeue",
+        DISP_SHED = "disp.shed",
+        DISPATCHER = "dispatcher",
+        DISPATCHER_CENTRAL = "dispatcher.central",
+        DISPATCHER_INBOX = "dispatcher.inbox",
+        FALLBACK_SWITCH = "fallback.switch",
+        NETWORKER = "networker",
+        NETWORKER_PARSED = "networker.parsed",
+        NETWORKER_RING = "networker.ring",
+        PATH_0_CLIENT_SEND = "path.0_client_send",
+        PATH_1_HOST_NET = "path.1_host_net",
+        PATH_2_DISPATCH = "path.2_dispatch",
+        PATH_3_WORKER_START = "path.3_worker_start",
+        PATH_4_WORKER_DONE = "path.4_worker_done",
+        PATH_5_RESPONSE = "path.5_response",
+        RECOVERY_REDISPATCH = "recovery.redispatch",
+        WIRE_REQ_LOST = "wire.req_lost",
+        WIRE_RESP_LOST = "wire.resp_lost",
+        WORKER = "worker",
+        WORKER_COMPLETED = "worker.completed",
+        WORKER_DUP_KILLED = "worker.dup_killed",
+        WORKER_INBOX = "worker.inbox",
+        WORKER_PREEMPTED = "worker.preempted",
+        WORKER_STRANDED = "worker.stranded",
+    }
+}
+
 /// Configuration of a vanilla Shinjuku instance.
 #[derive(Debug, Clone, Copy)]
 pub struct ShinjukuConfig {
@@ -214,14 +252,14 @@ impl Shinjuku {
         let now = ctx.now();
         if ctx.faults().burst_frame_lost(now) {
             self.req_lost += 1;
-            ctx.probe().count("wire.req_lost");
+            ctx.probe().count(key::WIRE_REQ_LOST);
             return;
         }
         match self.client_link.transmit_lossy(now, payload_len) {
             Some(arrive) => ctx.schedule_at(arrive, Ev::WireToNic(bytes)),
             None => {
                 self.req_lost += 1;
-                ctx.probe().count("wire.req_lost");
+                ctx.probe().count(key::WIRE_REQ_LOST);
             }
         }
     }
@@ -233,14 +271,14 @@ impl Shinjuku {
         let bytes = spec.build();
         if ctx.faults().burst_frame_lost(depart) {
             self.resp_lost += 1;
-            ctx.probe().count("wire.resp_lost");
+            ctx.probe().count(key::WIRE_RESP_LOST);
             return;
         }
         match self.server_link.transmit_lossy(depart, payload_len) {
             Some(arrive) => ctx.schedule_at(arrive, Ev::ClientResp(bytes)),
             None => {
                 self.resp_lost += 1;
-                ctx.probe().count("wire.resp_lost");
+                ctx.probe().count(key::WIRE_RESP_LOST);
             }
         }
     }
@@ -248,7 +286,7 @@ impl Shinjuku {
     fn start_networker(&mut self, ctx: &mut Ctx<'_, Ev>) {
         if !self.networker_busy && !self.nic.iface(self.net_iface).rx[0].is_empty() {
             self.networker_busy = true;
-            ctx.probe().busy("networker", true);
+            ctx.probe().busy(key::NETWORKER, true);
             ctx.schedule_in(params::HOST_NET_PER_PACKET, Ev::NetworkerDone);
         }
     }
@@ -269,7 +307,7 @@ impl Shinjuku {
             if let Some(item) = self.disp_queue.front() {
                 self.disp_busy = true;
                 let cost = Self::disp_item_cost(item);
-                ctx.probe().busy("dispatcher", true);
+                ctx.probe().busy(key::DISPATCHER, true);
                 ctx.schedule_in(cost, Ev::DispDone);
             }
         }
@@ -289,13 +327,13 @@ impl Shinjuku {
         }
         let Some(task) = self.workers[w].inbox.pop_front() else {
             self.workers[w].core.set_idle(ctx.now());
-            ctx.probe().busy_i("worker", w, false);
+            ctx.probe().busy_i(key::WORKER, w, false);
             return;
         };
-        ctx.probe().mark(task.req_id, "path.3_worker_start");
-        ctx.probe().busy_i("worker", w, true);
+        ctx.probe().mark(task.req_id, key::PATH_3_WORKER_START);
+        ctx.probe().busy_i(key::WORKER, w, true);
         ctx.probe()
-            .depth_i("worker.inbox", w, self.workers[w].inbox.len());
+            .depth_i(key::WORKER_INBOX, w, self.workers[w].inbox.len());
         let ctx_op = self.ctx_pool.begin(task.req_id);
         let mut overhead = ContextPool::op_cost(ctx_op, &self.ctx_costs, &self.host);
         // The policy's per-dispatch grant (carried on the task — the
@@ -339,12 +377,12 @@ impl Shinjuku {
             // The worker died mid-request: no response, no Done.
             self.ctx_pool.discard(task.req_id);
             self.stranded += 1;
-            ctx.probe().count("worker.stranded");
+            ctx.probe().count(key::WORKER_STRANDED);
             return;
         }
         if task.remaining <= run {
-            ctx.probe().count("worker.completed");
-            ctx.probe().mark(task.req_id, "path.4_worker_done");
+            ctx.probe().count(key::WORKER_COMPLETED);
+            ctx.probe().mark(task.req_id, key::PATH_4_WORKER_DONE);
             // Finished: response straight out the NIC; Done notification is
             // a shared-memory write visible one queue hop later.
             let resp_built = now + params::WORKER_TX_COST;
@@ -383,7 +421,7 @@ impl Shinjuku {
             if self.ctx_pool.is_saved(after.req_id) {
                 // A retransmitted copy of this request is already suspended:
                 // kill this copy and free the worker slot via Done.
-                ctx.probe().count("worker.dup_killed");
+                ctx.probe().count(key::WORKER_DUP_KILLED);
                 let free_at = now + TimerMode::DuneMapped.deliver_cost(&self.host);
                 ctx.schedule_at(
                     free_at + params::HOST_QUEUE_HOP,
@@ -395,7 +433,7 @@ impl Shinjuku {
                 ctx.schedule_at(free_at, Ev::WorkerPoll(w));
                 return;
             }
-            ctx.probe().count("worker.preempted");
+            ctx.probe().count(key::WORKER_PREEMPTED);
             self.preemptions += 1;
             self.workers[w].core.preemptions += 1;
             self.ctx_pool.save(after.req_id);
@@ -430,8 +468,8 @@ impl Model for Shinjuku {
                 }
                 let spec = self.client.make_request(ctx.now());
                 let req_id = spec.msg.req_id;
-                ctx.probe().count("client.sent");
-                ctx.probe().mark(req_id, "path.0_client_send");
+                ctx.probe().count(key::CLIENT_SENT);
+                ctx.probe().mark(req_id, key::PATH_0_CLIENT_SEND);
                 self.send_request(&spec, ctx);
                 if let Some((attempt, timeout)) = self.client.arm_timeout(req_id) {
                     ctx.schedule_in(timeout, Ev::ClientTimeout { req_id, attempt });
@@ -451,15 +489,15 @@ impl Model for Shinjuku {
             }
             Ev::NetworkerDone => {
                 self.networker_busy = false;
-                ctx.probe().busy("networker", false);
-                ctx.probe().count("networker.parsed");
+                ctx.probe().busy(key::NETWORKER, false);
+                ctx.probe().count(key::NETWORKER_PARSED);
                 if let Some(frame) = self.nic.iface_mut(self.net_iface).rx[0].pop() {
                     let depth = self.nic.iface(self.net_iface).rx[0].len();
-                    ctx.probe().depth("networker.ring", depth);
+                    ctx.probe().depth(key::NETWORKER_RING, depth);
                     if let Ok(parsed) = ParsedFrame::parse(&frame.data) {
                         if parsed.msg.kind == MsgKind::Request {
                             let m = parsed.msg;
-                            ctx.probe().mark(m.req_id, "path.1_host_net");
+                            ctx.probe().mark(m.req_id, key::PATH_1_HOST_NET);
                             let task = Task::new(
                                 m.req_id,
                                 m.client_id,
@@ -479,25 +517,26 @@ impl Model for Shinjuku {
             }
             Ev::DispPush(item) => {
                 self.disp_queue.push_back(item);
-                ctx.probe().depth("dispatcher.inbox", self.disp_queue.len());
+                ctx.probe()
+                    .depth(key::DISPATCHER_INBOX, self.disp_queue.len());
                 self.start_dispatcher(ctx);
             }
             Ev::DispDone => {
                 self.disp_busy = false;
-                ctx.probe().busy("dispatcher", false);
+                ctx.probe().busy(key::DISPATCHER, false);
                 if let Some(item) = self.disp_queue.pop_front() {
                     let now = ctx.now();
                     match item {
                         DispItem::NewTask(task) => match self.dispatcher.offer(now, task) {
                             AdmitOutcome::Admitted(assignments) => {
-                                ctx.probe().count("disp.enqueue");
-                                ctx.probe().mark(task.req_id, "path.2_dispatch");
+                                ctx.probe().count(key::DISP_ENQUEUE);
+                                ctx.probe().mark(task.req_id, key::PATH_2_DISPATCH);
                                 for a in assignments.into_iter().rev() {
                                     self.disp_queue.push_front(DispItem::Emit(a));
                                 }
                             }
                             AdmitOutcome::Shed { nack } => {
-                                ctx.probe().count("disp.shed");
+                                ctx.probe().count(key::DISP_SHED);
                                 if nack {
                                     self.nacks += 1;
                                     let spec = FrameSpec {
@@ -522,29 +561,29 @@ impl Model for Shinjuku {
                             }
                         },
                         DispItem::Done { worker, req_id } => {
-                            ctx.probe().count("disp.done");
+                            ctx.probe().count(key::DISP_DONE);
                             let assignments = self.dispatcher.on_done(now, worker, req_id);
                             for a in assignments.into_iter().rev() {
                                 self.disp_queue.push_front(DispItem::Emit(a));
                             }
                         }
                         DispItem::Preempted { worker, task } => {
-                            ctx.probe().count("disp.preempt_requeue");
-                            ctx.probe().mark(task.req_id, "path.2_dispatch");
+                            ctx.probe().count(key::DISP_PREEMPT_REQUEUE);
+                            ctx.probe().mark(task.req_id, key::PATH_2_DISPATCH);
                             let assignments = self.dispatcher.on_preempted(now, worker, task);
                             for a in assignments.into_iter().rev() {
                                 self.disp_queue.push_front(DispItem::Emit(a));
                             }
                         }
                         DispItem::Emit(a) => {
-                            ctx.probe().count("disp.assign");
+                            ctx.probe().count(key::DISP_ASSIGN);
                             ctx.schedule_in(
                                 params::HOST_QUEUE_HOP,
                                 Ev::WorkerTask(a.worker, a.task),
                             );
                         }
                         DispItem::Heartbeat { worker } => {
-                            ctx.probe().count("disp.heartbeat");
+                            ctx.probe().count(key::DISP_HEARTBEAT);
                             let assignments = self.dispatcher.on_heartbeat(now, worker);
                             for a in assignments.into_iter().rev() {
                                 self.disp_queue.push_front(DispItem::Emit(a));
@@ -552,7 +591,7 @@ impl Model for Shinjuku {
                         }
                     }
                     ctx.probe()
-                        .depth("dispatcher.central", self.dispatcher.queue_len());
+                        .depth(key::DISPATCHER_CENTRAL, self.dispatcher.queue_len());
                 }
                 self.start_dispatcher(ctx);
             }
@@ -561,12 +600,12 @@ impl Model for Shinjuku {
                 if ctx.faults().worker_crashed(w, now) {
                     // Delivered to a dead worker's inbox: never executed.
                     self.stranded += 1;
-                    ctx.probe().count("worker.stranded");
+                    ctx.probe().count(key::WORKER_STRANDED);
                     return;
                 }
                 self.workers[w].inbox.push_back(task);
                 ctx.probe()
-                    .depth_i("worker.inbox", w, self.workers[w].inbox.len());
+                    .depth_i(key::WORKER_INBOX, w, self.workers[w].inbox.len());
                 if self.workers[w].running.is_none() {
                     ctx.schedule_now(Ev::WorkerPoll(w));
                 }
@@ -576,7 +615,7 @@ impl Model for Shinjuku {
             Ev::ClientResp(bytes) => {
                 if let Ok(parsed) = ParsedFrame::parse(&bytes) {
                     if parsed.msg.kind == MsgKind::Nack {
-                        ctx.probe().count("client.nacks");
+                        ctx.probe().count(key::CLIENT_NACKS);
                         let req_id = parsed.msg.req_id;
                         if let TimeoutOutcome::Retry {
                             frame,
@@ -584,14 +623,14 @@ impl Model for Shinjuku {
                             timeout,
                         } = self.client.on_nack(ctx.now(), req_id)
                         {
-                            ctx.probe().count("client.retries");
+                            ctx.probe().count(key::CLIENT_RETRIES);
                             self.send_request(&frame, ctx);
                             ctx.schedule_in(timeout, Ev::ClientTimeout { req_id, attempt });
                         }
                         return;
                     }
-                    ctx.probe().count("client.responses");
-                    ctx.probe().finish(parsed.msg.req_id, "path.5_response");
+                    ctx.probe().count(key::CLIENT_RESPONSES);
+                    ctx.probe().finish(parsed.msg.req_id, key::PATH_5_RESPONSE);
                     self.client.on_response(ctx.now(), &parsed);
                 }
             }
@@ -602,7 +641,7 @@ impl Model for Shinjuku {
                     timeout,
                 } = self.client.on_timeout(ctx.now(), req_id, attempt)
                 {
-                    ctx.probe().count("client.retries");
+                    ctx.probe().count(key::CLIENT_RETRIES);
                     self.send_request(&frame, ctx);
                     ctx.schedule_in(timeout, Ev::ClientTimeout { req_id, attempt });
                 }
@@ -625,7 +664,7 @@ impl Model for Shinjuku {
                     let was_degraded = gov.is_degraded();
                     gov.evaluate(now, &mut self.dispatcher);
                     if gov.is_degraded() != was_degraded {
-                        ctx.probe().count("fallback.switch");
+                        ctx.probe().count(key::FALLBACK_SWITCH);
                     }
                     assignments = self.dispatcher.kick(now);
                     next = Some(gov.policy().heartbeat);
@@ -644,7 +683,7 @@ impl Model for Shinjuku {
                     // on the same tick.
                     let recovered = self.dispatcher.check_health(now);
                     if !recovered.is_empty() {
-                        ctx.probe().count("recovery.redispatch");
+                        ctx.probe().count(key::RECOVERY_REDISPATCH);
                     }
                     assignments.extend(recovered);
                     next = Some(
@@ -678,7 +717,7 @@ pub fn run_resilient_probed(
     res: ResilienceConfig,
 ) -> RunMetrics {
     let mut engine = Engine::new(Shinjuku::new(spec, cfg, res));
-    engine.set_probe(Probe::new(probe));
+    engine.set_probe(Probe::new(probe).register(key::NAMES));
     engine.set_invariants(crate::common::checker_for(&res));
     if res.is_active() {
         engine.set_faults(FaultPlan::new(res.faults, spec.seed ^ FAULT_SEED_SALT));
