@@ -97,8 +97,6 @@ pub struct Core {
     busy: BusyTracker,
     /// Requests fully executed on this core.
     pub requests_run: u64,
-    /// Preemptions taken on this core.
-    pub preemptions: u64,
 }
 
 impl Core {
@@ -109,7 +107,6 @@ impl Core {
             spec,
             busy: BusyTracker::new(at),
             requests_run: 0,
-            preemptions: 0,
         }
     }
 

@@ -89,7 +89,15 @@ impl ServerSystem for ShinjukuConfig {
         probe: ProbeConfig,
         res: ResilienceConfig,
     ) -> RunMetrics {
-        crate::shinjuku::run_resilient_probed(spec, *self, probe, res)
+        // One dispatcher group over every worker; `res` passes through
+        // unchanged, staleness fallback included.
+        let cfg = MultiShinjukuConfig {
+            groups: 1,
+            workers_per_group: self.workers,
+            time_slice: self.time_slice,
+            policy: self.policy,
+        };
+        crate::multi_shinjuku::run_model(spec, cfg, probe, res).metrics
     }
 }
 

@@ -563,6 +563,7 @@ fn run_inner(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::ServerSystem;
     use workload::ServiceDist;
 
     fn run(spec: WorkloadSpec, cfg: BaselineConfig) -> RunMetrics {
@@ -609,11 +610,7 @@ mod tests {
                 kind: BaselineKind::Rss,
             },
         );
-        let shinjuku = crate::shinjuku::run_probed(
-            spec,
-            crate::shinjuku::ShinjukuConfig::paper(4),
-            ProbeConfig::disabled(),
-        );
+        let shinjuku = crate::shinjuku::ShinjukuConfig::paper(4).run(spec, ProbeConfig::disabled());
         assert!(
             rss.p99 > shinjuku.p99 * 2,
             "rss p99 {} should dwarf shinjuku p99 {}",

@@ -7,7 +7,8 @@
 //!
 //! * [`shinjuku`] — vanilla Shinjuku: host-resident networker + dispatcher
 //!   hyperthreads, shared-memory queues, worker preemption (the paper's
-//!   baseline in every figure).
+//!   baseline in every figure). Its config runs the [`multi_shinjuku`]
+//!   model with one dispatcher group.
 //! * [`offload`] — Shinjuku-Offload: networking subsystem and the
 //!   three-core dispatcher pipeline on SmartNIC ARM cores, packet-based
 //!   worker communication, the §3.4.5 queuing optimization. Generic over
@@ -18,8 +19,9 @@
 //!   Elastic RSS (§5.1(1)'s µs-scale core provisioning).
 //! * [`rpcvalet`] — RPCValet-style NI-integrated hardware queue (§2.1):
 //!   perfect balance, nanosecond dispatch, no preemption.
-//! * [`multi_shinjuku`] — the §2.2(3) scale-out: several independent
-//!   Shinjuku groups behind RSS, with imbalance accounting.
+//! * [`multi_shinjuku`] — the one Shinjuku model, and with more than one
+//!   group the §2.2(3) scale-out: independent Shinjuku groups behind
+//!   RSS, with imbalance accounting.
 //!
 //! All systems exchange real Ethernet/IPv4/UDP frames on external hops
 //! and are deterministic per seed.

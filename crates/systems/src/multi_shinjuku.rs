@@ -1,5 +1,16 @@
-//! Multi-dispatcher Shinjuku: the §2.2(3) scaling escape hatch, built so
-//! its costs are measurable.
+//! Shinjuku — the paper's host-resident baseline (Kaffes et al., NSDI
+//! '19) — and its §2.2(3) multi-dispatcher scale-out, as one model.
+//!
+//! A dispatcher group is a networker and a dispatcher running as two
+//! hyperthreads on one physical host core (§4.1), plus a private slice
+//! of worker cores. Requests flow NIC → networker → dispatcher → worker
+//! over shared-memory queues whose hop latency is the §2.2 "2 µs of
+//! additional tail latency" cost; the dispatcher's 200 ns/request budget
+//! is the §1 "5M requests per second" scaling limit. The scheduling
+//! semantics — centralized queue, preemption at the slice, re-enqueue at
+//! the tail — are the offloaded system's: both embed
+//! [`nicsched::Dispatcher`]. Only placement and transport differ, which
+//! is the paper's point.
 //!
 //! "The dispatcher can only scale to 5M requests … so multiple dispatchers
 //! need to be instantiated. RSS can be used to route packets from the NIC
@@ -9,10 +20,16 @@
 //!
 //! This assembly partitions the server into `groups` independent Shinjuku
 //! instances: the NIC RSS-hashes flows across the groups' networker
-//! queues, each group has its own networker+dispatcher core pair and a
-//! private slice of the workers. Requests cannot cross groups — exactly
-//! the imbalance-vs-scalability trade the paper describes. With
-//! `groups = 1` this degenerates to vanilla Shinjuku.
+//! queues, and requests cannot cross groups — exactly the
+//! imbalance-vs-scalability trade the paper describes. With `groups = 1`
+//! this is vanilla Shinjuku, which is how
+//! [`ShinjukuConfig`](crate::shinjuku::ShinjukuConfig) runs.
+//!
+//! The two entry points differ in one rule, decided before the model is
+//! built: vanilla Shinjuku honours the stale-feedback fallback in
+//! [`ResilienceConfig`], giving its dispatcher a [`FeedbackGovernor`];
+//! [`run_resilient_probed`] clears it, so multi-dispatcher groups never
+//! fall back.
 
 use std::collections::VecDeque;
 
@@ -27,8 +44,8 @@ use sim_core::{Ctx, Engine, FaultPlan, Model, Probe, ProbeConfig, Rng, SimDurati
 use workload::{RunMetrics, WorkloadSpec};
 
 use crate::common::{
-    assemble_metrics, scale_duration, AddressPlan, Client, ResilienceConfig, TimeoutOutcome,
-    FAULT_SEED_SALT,
+    assemble_metrics, scale_duration, AddressPlan, Client, FeedbackGovernor, ResilienceConfig,
+    TimeoutOutcome, FAULT_SEED_SALT,
 };
 
 // Every probe name this assembly records, registered once per run.
@@ -48,6 +65,7 @@ sim_core::probe_keys! {
         DISPATCHER = "dispatcher",
         DISPATCHER_CENTRAL = "dispatcher.central",
         DISPATCHER_INBOX = "dispatcher.inbox",
+        FALLBACK_SWITCH = "fallback.switch",
         NETWORKER = "networker",
         NETWORKER_PARSED = "networker.parsed",
         NETWORKER_RING = "networker.ring",
@@ -146,7 +164,7 @@ enum Ev {
         attempt: u32,
     },
     /// A worker's periodic liveness heartbeat to its group dispatcher
-    /// (group, local worker index; recovery only).
+    /// (group, local worker index; governor or recovery only).
     Heartbeat(usize, usize),
 }
 
@@ -163,6 +181,9 @@ struct Group {
     disp_busy: bool,
     dispatcher: Dispatcher<Box<dyn SchedPolicy>, LeastOutstanding>,
     workers: Vec<Worker>,
+    /// Stale-feedback governor over this group's workers (vanilla
+    /// Shinjuku with a fallback policy only).
+    governor: Option<FeedbackGovernor>,
     /// Requests admitted by this group (imbalance statistics).
     admitted: u64,
 }
@@ -246,6 +267,9 @@ impl MultiShinjuku {
                         running: None,
                     })
                     .collect(),
+                governor: res.fallback.map(|p| {
+                    FeedbackGovernor::new(cfg.workers_per_group, params::HOST_QUEUE_HOP, p)
+                }),
                 admitted: 0,
             })
             .collect();
@@ -655,19 +679,20 @@ impl Model for MultiShinjuku {
                 self.start_dispatcher(g, ctx);
             }
             Ev::WorkerTask(g, local, task) => {
-                {
-                    let gw = g * self.cfg.workers_per_group + local;
-                    let now = ctx.now();
-                    if ctx.faults().worker_crashed(gw, now) {
-                        // Delivered into a dead core: stranded on arrival.
-                        self.ctx_pool.discard(task.req_id);
-                        self.stranded += 1;
-                        ctx.probe().count(key::WORKER_STRANDED);
-                        return;
-                    }
+                let global = g * self.cfg.workers_per_group + local;
+                let now = ctx.now();
+                if ctx.faults().worker_crashed(global, now) {
+                    // Delivered into a dead core: stranded on arrival.
+                    self.ctx_pool.discard(task.req_id);
+                    self.stranded += 1;
+                    ctx.probe().count(key::WORKER_STRANDED);
+                    return;
                 }
-                self.groups[g].workers[local].inbox.push_back(task);
-                if self.groups[g].workers[local].running.is_none() {
+                let worker = &mut self.groups[g].workers[local];
+                worker.inbox.push_back(task);
+                ctx.probe()
+                    .depth_i(key::WORKER_INBOX, global, worker.inbox.len());
+                if worker.running.is_none() {
                     ctx.schedule_now(Ev::WorkerPoll(g, local));
                 }
             }
@@ -713,35 +738,59 @@ impl Model for MultiShinjuku {
                 if now >= self.horizon {
                     return;
                 }
-                let Some(policy) = self.recovery else {
-                    return;
-                };
                 let global = g * self.cfg.workers_per_group + local;
                 let silenced =
                     ctx.faults().worker_down(global, now) || ctx.faults().feedback_blackout(now);
-                // Worker side: lease renewal crosses host shared memory —
-                // a silenced worker cannot renew.
-                if !silenced {
-                    ctx.schedule_in(
-                        params::HOST_QUEUE_HOP,
-                        Ev::DispPush(
-                            g,
-                            DispItem::Heartbeat {
-                                local_worker: local,
-                            },
-                        ),
+                let group = &mut self.groups[g];
+                let mut assignments = Vec::new();
+                let mut next = None;
+                if let Some(gov) = group.governor.as_mut() {
+                    if !silenced {
+                        let occupancy = group.dispatcher.outstanding(local);
+                        let busy = group.workers[local].running.is_some();
+                        gov.report(now, local, occupancy, busy);
+                    }
+                    let was_degraded = gov.is_degraded();
+                    gov.evaluate(now, &mut group.dispatcher);
+                    if gov.is_degraded() != was_degraded {
+                        ctx.probe().count(key::FALLBACK_SWITCH);
+                    }
+                    assignments = group.dispatcher.kick(now);
+                    next = Some(gov.policy().heartbeat);
+                }
+                if let Some(policy) = self.recovery {
+                    // Worker side: lease renewal crosses host shared memory —
+                    // a silenced worker cannot renew.
+                    if !silenced {
+                        ctx.schedule_in(
+                            params::HOST_QUEUE_HOP,
+                            Ev::DispPush(
+                                g,
+                                DispItem::Heartbeat {
+                                    local_worker: local,
+                                },
+                            ),
+                        );
+                    }
+                    // Group-dispatcher side: expire leases and re-dispatch
+                    // orphans within this group on the same tick.
+                    let recovered = group.dispatcher.check_health(now);
+                    if !recovered.is_empty() {
+                        ctx.probe().count(key::RECOVERY_REDISPATCH);
+                    }
+                    assignments.extend(recovered);
+                    next = Some(
+                        next.map_or(policy.heartbeat, |n: SimDuration| n.min(policy.heartbeat)),
                     );
                 }
-                // Group-dispatcher side: expire leases and re-dispatch
-                // orphans within this group on the same tick.
-                let recovered = self.groups[g].dispatcher.check_health(now);
-                if !recovered.is_empty() {
-                    ctx.probe().count(key::RECOVERY_REDISPATCH);
-                }
-                for a in recovered {
+                // Unparked work still pays the dispatcher's per-assignment
+                // cost like any other emission.
+                for a in assignments {
                     ctx.schedule_now(Ev::DispPush(g, DispItem::Emit(a)));
                 }
-                ctx.schedule_in(policy.heartbeat, Ev::Heartbeat(g, local));
+                if let Some(interval) = next {
+                    ctx.schedule_in(interval, Ev::Heartbeat(g, local));
+                }
             }
         }
     }
@@ -776,6 +825,18 @@ pub fn run_resilient_probed(
     spec: WorkloadSpec,
     cfg: MultiShinjukuConfig,
     probe: ProbeConfig,
+    mut res: ResilienceConfig,
+) -> MultiRunMetrics {
+    res.fallback = None;
+    run_model(spec, cfg, probe, res)
+}
+
+/// Run the shared Shinjuku model under every setting in `res`, the
+/// staleness fallback included (one governor per group).
+pub(crate) fn run_model(
+    spec: WorkloadSpec,
+    cfg: MultiShinjukuConfig,
+    probe: ProbeConfig,
     res: ResilienceConfig,
 ) -> MultiRunMetrics {
     let mut engine = Engine::new(MultiShinjuku::new(spec, cfg, res));
@@ -785,7 +846,7 @@ pub fn run_resilient_probed(
         engine.set_faults(FaultPlan::new(res.faults, spec.seed ^ FAULT_SEED_SALT));
     }
     engine.schedule_at(SimTime::ZERO, Ev::ClientSend);
-    if engine.model().recovery.is_some() {
+    if res.fallback.is_some() || res.recovery.is_some() {
         for g in 0..cfg.groups {
             for local in 0..cfg.workers_per_group {
                 engine.schedule_at(SimTime::ZERO, Ev::Heartbeat(g, local));
@@ -812,6 +873,11 @@ pub fn run_resilient_probed(
     fm.stranded = model.stranded;
     fm.shed = shed;
     fm.nacks = model.nacks;
+    for gov in model.groups.iter().filter_map(|g| g.governor.as_ref()) {
+        fm.fallback_switches += gov.switches;
+        fm.fallback_ns += gov.fallback_ns(horizon);
+        fm.quarantines += gov.quarantines;
+    }
     if model.recovery.is_some() {
         for group in &model.groups {
             fm.recovered += group.dispatcher.stats.recovered;
@@ -851,29 +917,47 @@ mod tests {
     }
 
     #[test]
-    fn single_group_acts_like_vanilla_shinjuku() {
+    fn only_the_vanilla_entry_point_falls_back() {
+        use crate::api::ServerSystem;
+        use crate::common::StalenessPolicy;
+        use crate::shinjuku::ShinjukuConfig;
+        use sim_core::FaultConfig;
+
+        // A 3 ms feedback blackout: far past the 25 µs degrade threshold.
         let spec = quick_spec(300_000.0, ServiceDist::Fixed(SimDuration::from_micros(5)));
-        let multi = run(
-            spec,
-            MultiShinjukuConfig {
-                groups: 1,
-                workers_per_group: 3,
-                time_slice: None,
-                policy: PolicySpec::FCFS,
-            },
+        let res = ResilienceConfig {
+            faults: FaultConfig::default()
+                .with_blackout(SimTime::from_millis(5), SimTime::from_millis(8)),
+            fallback: Some(StalenessPolicy::paper_default()),
+            ..ResilienceConfig::default()
+        };
+        let vanilla = ShinjukuConfig::paper(4);
+        let multi = MultiShinjukuConfig {
+            groups: 1,
+            workers_per_group: 4,
+            time_slice: vanilla.time_slice,
+            policy: vanilla.policy,
+        };
+        let run_both = |res: ResilienceConfig| {
+            (
+                vanilla.run_resilient(spec, ProbeConfig::disabled(), res),
+                run_resilient_probed(spec, multi, ProbeConfig::disabled(), res),
+            )
+        };
+
+        let (v, m) = run_both(res);
+        assert!(v.faults.fallback_ns > 0, "vanilla never fell back: {v:?}");
+        assert_eq!(m.metrics.faults.fallback_ns, 0, "multi fell back: {m:?}");
+
+        let (v, m) = run_both(ResilienceConfig {
+            fallback: None,
+            ..res
+        });
+        assert_eq!(
+            v, m.metrics,
+            "without a fallback policy the entry points agree"
         );
-        let vanilla = crate::shinjuku::run_probed(
-            spec,
-            crate::shinjuku::ShinjukuConfig {
-                workers: 3,
-                time_slice: None,
-                policy: PolicySpec::FCFS,
-            },
-            ProbeConfig::disabled(),
-        );
-        assert_eq!(multi.metrics.completed, vanilla.completed);
-        assert_eq!(multi.metrics.p99, vanilla.p99);
-        assert!((multi.imbalance - 1.0).abs() < 1e-9);
+        assert!((m.imbalance - 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -740,7 +740,6 @@ impl Offload {
             }
             ctx.probe().count(key::WORKER_PREEMPTED);
             self.preemptions += 1;
-            self.workers[w].core.preemptions += 1;
             self.ctx_pool.save(after.req_id);
             let free_at = now
                 + self.preempt_receive_cost()

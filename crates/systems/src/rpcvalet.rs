@@ -462,6 +462,7 @@ pub fn run_resilient_probed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::ServerSystem;
     use workload::ServiceDist;
 
     fn run(spec: WorkloadSpec, cfg: RpcValetConfig) -> RunMetrics {
@@ -487,15 +488,12 @@ mod tests {
         // beating host Shinjuku's dispatcher-capped throughput.
         let spec = quick_spec(7_000_000.0, ServiceDist::Fixed(SimDuration::from_micros(1)));
         let valet = run(spec, RpcValetConfig { workers: 16 });
-        let shinjuku = crate::shinjuku::run_probed(
-            spec,
-            crate::shinjuku::ShinjukuConfig {
-                workers: 16,
-                time_slice: None,
-                policy: nicsched::PolicySpec::FCFS,
-            },
-            ProbeConfig::disabled(),
-        );
+        let shinjuku = crate::shinjuku::ShinjukuConfig {
+            workers: 16,
+            time_slice: None,
+            policy: nicsched::PolicySpec::FCFS,
+        }
+        .run(spec, ProbeConfig::disabled());
         assert!(
             valet.achieved_rps > shinjuku.achieved_rps * 1.4,
             "hardware queue {:.1}M vs software dispatcher {:.1}M",

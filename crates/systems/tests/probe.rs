@@ -80,7 +80,16 @@ fn disabled_probe_is_bit_identical_to_the_free_functions() {
 
         let direct = match sys {
             SystemConfig::Offload(c) => systems::offload::run_probed(spec, c, probe),
-            SystemConfig::Shinjuku(c) => systems::shinjuku::run_probed(spec, c, probe),
+            // Vanilla Shinjuku is the one-group multi-dispatcher model.
+            SystemConfig::Shinjuku(c) => {
+                let one_group = MultiShinjukuConfig {
+                    groups: 1,
+                    workers_per_group: c.workers,
+                    time_slice: c.time_slice,
+                    policy: c.policy,
+                };
+                systems::multi_shinjuku::run_probed(spec, one_group, probe).metrics
+            }
             SystemConfig::Baseline(c) => systems::baseline::run_probed(spec, c, probe),
             SystemConfig::RpcValet(c) => systems::rpcvalet::run_probed(spec, c, probe),
             SystemConfig::MultiShinjuku(c) => {
