@@ -8,6 +8,9 @@
 //! places (e.g. an RX ring and a latency tracer) is a refcount bump, not a
 //! copy.
 
+use std::iter;
+use std::sync::Arc;
+
 use bytes::Bytes;
 
 use crate::addr::{Endpoint, EthernetAddress};
@@ -37,6 +40,12 @@ impl FrameSpec {
     }
 
     /// Build the complete frame, all checksums computed.
+    ///
+    /// The headers and message are emitted straight into the frame's one
+    /// shared allocation: a zeroed `Arc<[u8]>` of exactly
+    /// [`frame_len`](Self::frame_len) bytes (the iterator has a trusted
+    /// length, so the `Arc` allocates once), written through
+    /// `Arc::get_mut` while it is still unique.
     pub fn build(&self) -> Bytes {
         let msg_len = self.msg.buffer_len();
         let udp_repr = udp::Repr {
@@ -57,8 +66,9 @@ impl FrameSpec {
             ethertype: ethernet::EtherType::Ipv4,
         };
 
-        let mut buf = vec![0u8; self.frame_len()];
-        let mut frame = ethernet::Frame::new_unchecked(&mut buf[..]);
+        let mut buf: Arc<[u8]> = iter::repeat(0u8).take(self.frame_len()).collect();
+        let bytes = Arc::get_mut(&mut buf).expect("a fresh Arc is unique");
+        let mut frame = ethernet::Frame::new_unchecked(bytes);
         eth_repr.emit(&mut frame);
 
         let mut ip = ipv4::Packet::new_unchecked(frame.payload_mut());

@@ -18,32 +18,27 @@ pub const DEFAULT_KEY: [u8; 40] = [
 /// Compute the Toeplitz hash of `input` under `key`.
 ///
 /// For every set bit of the input (MSB-first), XOR in the 32-bit window of
-/// the key beginning at that bit position.
+/// the key beginning at that bit position. The eight windows of input byte
+/// `i` all lie inside the 40 key bits `key[i..i + 5]`, so that span is
+/// loaded once per byte and each bit's window is a shift of it, XORed in
+/// under an all-ones/all-zeros mask instead of a branch.
 pub fn toeplitz_hash(key: &[u8; 40], input: &[u8]) -> u32 {
     assert!(input.len() <= 36, "RSS input exceeds key coverage");
     let mut result: u32 = 0;
-    // Current 32-bit window of the key, advanced one bit per input bit.
-    let mut window: u32 = u32::from_be_bytes([key[0], key[1], key[2], key[3]]);
-    let mut consumed_bits = 0;
-    for &byte in input {
-        for bit in (0..8).rev() {
-            if byte >> bit & 1 == 1 {
-                result ^= window;
-            }
-            window = advance(window, key, &mut consumed_bits);
+    for (i, &byte) in input.iter().enumerate() {
+        let span = key[i..i + 5]
+            .iter()
+            .fold(0u64, |w, &k| w << 8 | u64::from(k));
+        for bit in 0..8 {
+            // Input bit `bit` (0 = LSB) sits 7 - bit bits into the byte, so
+            // its window starts 7 - bit bits into the span: the span's low
+            // 40 bits shifted right by 8 - (7 - bit).
+            let window = (span >> (bit + 1)) as u32;
+            let mask = 0u32.wrapping_sub(u32::from(byte >> bit & 1));
+            result ^= window & mask;
         }
     }
     result
-}
-
-/// Shift the window left one bit, pulling the next key *bit* in at the LSB.
-/// `bit_index` counts key bits already consumed beyond the initial window.
-fn advance(window: u32, key: &[u8; 40], bit_index: &mut usize) -> u32 {
-    let abs_bit = 32 + *bit_index; // absolute bit position in the key
-    let byte = key[abs_bit / 8];
-    let bit = (byte >> (7 - (abs_bit % 8))) & 1;
-    *bit_index += 1;
-    (window << 1) | u32::from(bit)
 }
 
 /// The hash input for UDP/IPv4: src addr, dst addr, src port, dst port,
@@ -108,6 +103,51 @@ impl Rss {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The reference: slide a 32-bit window along the key one *bit* per
+    /// input bit, XORing it in for every set bit.
+    fn toeplitz_bitwise(key: &[u8; 40], input: &[u8]) -> u32 {
+        let key_bit = |at: usize| u32::from(key[at / 8] >> (7 - at % 8) & 1);
+        let mut result = 0;
+        let mut window = u32::from_be_bytes([key[0], key[1], key[2], key[3]]);
+        for (at, bit) in (0..input.len() * 8).map(|b| (b, input[b / 8] >> (7 - b % 8) & 1)) {
+            if bit == 1 {
+                result ^= window;
+            }
+            window = window << 1 | key_bit(32 + at);
+        }
+        result
+    }
+
+    #[test]
+    fn matches_the_bit_serial_hash_on_random_keys() {
+        // splitmix64, so the keys and inputs are seeded and repeatable.
+        let mut state = 0x7f11_2c0d_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        for _ in 0..200 {
+            let mut key = [0u8; 40];
+            key.iter_mut().for_each(|k| *k = next() as u8);
+            for len in [8, 12, 36] {
+                let input: Vec<u8> = (0..len).map(|_| next() as u8).collect();
+                assert_eq!(
+                    toeplitz_hash(&key, &input),
+                    toeplitz_bitwise(&key, &input),
+                    "key {key:02x?} input {input:02x?}"
+                );
+            }
+        }
+        let ones = [0xffu8; 36];
+        assert_eq!(
+            toeplitz_hash(&DEFAULT_KEY, &ones),
+            toeplitz_bitwise(&DEFAULT_KEY, &ones)
+        );
+    }
 
     /// Microsoft's published IPv4 4-tuple verification suite.
     #[test]

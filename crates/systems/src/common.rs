@@ -3,7 +3,7 @@
 //! configuration every assembly accepts, the stale-feedback governor, and
 //! metric assembly.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::VecDeque;
 
 use net_wire::{Endpoint, EthernetAddress, FrameSpec, Ipv4Address, MsgRepr, ParsedFrame};
 use nicsched::{
@@ -349,6 +349,9 @@ pub enum ResponseOutcome {
     Duplicate,
     /// The client had already abandoned the request; the work was wasted.
     Orphaned,
+    /// The client never issued this request id; ignored entirely (no
+    /// latency sample, no counter).
+    Unknown,
 }
 
 /// What a per-attempt timeout (or early NACK) resolves to.
@@ -377,6 +380,17 @@ struct PendingReq {
     attempt: u32,
 }
 
+/// Where an issued request stands: one byte per request id.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Fate {
+    /// Awaiting its first response (its state is in the open window).
+    Open,
+    /// Response recorded.
+    Done,
+    /// Abandoned after the attempt budget.
+    GaveUp,
+}
+
 /// The mutilate-style open-loop client (§4): Poisson arrivals, synthetic
 /// service times stamped into request frames, latency recording from
 /// responses.
@@ -401,13 +415,20 @@ pub struct Client {
     /// Timeout/retry policy; `None` = fire-and-forget (requests are still
     /// tracked so the run ledger closes).
     retry: Option<RetryPolicy>,
-    /// Requests awaiting their first response. Ordered by request id so
-    /// any iteration (ledger dumps, horizon accounting) is deterministic.
-    outstanding: BTreeMap<u64, PendingReq>,
+    /// The fate of every issued request, indexed by `req_id - 1` (ids are
+    /// issued sequentially from 1).
+    fate: Vec<Fate>,
+    /// Reliability state of the ids `window_base..next_id`: slot `k`
+    /// belongs to request `window_base + k` and is `None` once resolved.
+    /// The front slot is always open (resolved slots are popped off it),
+    /// so the window spans just the oldest open request onwards.
+    window: VecDeque<Option<PendingReq>>,
+    /// Request id of the window's front slot.
+    window_base: u64,
+    /// Requests awaiting their first response.
+    open: u64,
     /// Requests whose response was recorded (including during warmup).
-    done: BTreeSet<u64>,
-    /// Requests abandoned after the attempt budget.
-    gave_up: BTreeSet<u64>,
+    done: u64,
     /// Retransmissions sent.
     pub retries: u64,
     /// Timeouts that fired while their attempt was live.
@@ -439,9 +460,11 @@ impl Client {
             port_cursor: 0,
             pacing: None,
             retry: None,
-            outstanding: BTreeMap::new(),
-            done: BTreeSet::new(),
-            gave_up: BTreeSet::new(),
+            fate: Vec::new(),
+            window: VecDeque::new(),
+            window_base: 1,
+            open: 0,
+            done: 0,
             retries: 0,
             timeouts: 0,
             duplicates: 0,
@@ -500,13 +523,49 @@ impl Client {
             now.as_nanos(),
             self.spec.body_len,
         );
-        self.outstanding.insert(id, PendingReq { msg, attempt: 1 });
+        self.fate.push(Fate::Open);
+        self.window.push_back(Some(PendingReq { msg, attempt: 1 }));
+        self.open += 1;
         FrameSpec {
             src_mac: AddressPlan::client_mac(),
             dst_mac: AddressPlan::dispatcher_mac(),
             src,
             dst: AddressPlan::dispatcher_ep(),
             msg,
+        }
+    }
+
+    /// Index of `req_id` in the fate table, if the client issued it.
+    fn fate_index(&self, req_id: u64) -> Option<usize> {
+        let index = usize::try_from(req_id.checked_sub(1)?).ok()?;
+        (index < self.fate.len()).then_some(index)
+    }
+
+    /// Offset of `req_id` in the open window (`None` below its front).
+    fn slot(&self, req_id: u64) -> Option<usize> {
+        usize::try_from(req_id.checked_sub(self.window_base)?).ok()
+    }
+
+    /// The open state of `req_id` (`None` once resolved or never issued).
+    fn pending(&self, req_id: u64) -> Option<&PendingReq> {
+        self.window.get(self.slot(req_id)?)?.as_ref()
+    }
+
+    /// Mutable open state of `req_id`.
+    fn pending_mut(&mut self, req_id: u64) -> Option<&mut PendingReq> {
+        let slot = self.slot(req_id)?;
+        self.window.get_mut(slot)?.as_mut()
+    }
+
+    /// Resolve the open request `req_id` as `fate`, then pop every
+    /// resolved slot off the window's front.
+    fn resolve(&mut self, req_id: u64, fate: Fate) {
+        self.fate[(req_id - 1) as usize] = fate;
+        self.window[(req_id - self.window_base) as usize] = None;
+        self.open -= 1;
+        while let Some(None) = self.window.front() {
+            self.window.pop_front();
+            self.window_base += 1;
         }
     }
 
@@ -517,7 +576,7 @@ impl Client {
     /// generation-counter cancellation idiom).
     pub fn arm_timeout(&self, req_id: u64) -> Option<(u32, SimDuration)> {
         let policy = self.retry?;
-        let pending = self.outstanding.get(&req_id)?;
+        let pending = self.pending(req_id)?;
         Some((pending.attempt, policy.timeout_for(pending.attempt)))
     }
 
@@ -526,7 +585,7 @@ impl Client {
     /// and send timestamp — latency is measured from the *first*
     /// transmission); only the source port is re-derived so the flow
     /// stays stable for RSS.
-    fn rebuild_frame(&self, msg: MsgRepr) -> FrameSpec {
+    fn rebuild_frame(msg: MsgRepr) -> FrameSpec {
         let mut src = AddressPlan::client_ep();
         src.port = 7000 + (msg.req_id % 1024) as u16;
         FrameSpec {
@@ -544,12 +603,11 @@ impl Client {
         let Some(policy) = self.retry else {
             return TimeoutOutcome::Stale;
         };
-        let Some(pending) = self.outstanding.get_mut(&req_id) else {
+        let Some(pending) = self.pending_mut(req_id) else {
             return TimeoutOutcome::Stale;
         };
         if !policy.may_retry(pending.attempt) {
-            self.outstanding.remove(&req_id);
-            self.gave_up.insert(req_id);
+            self.resolve(req_id, Fate::GaveUp);
             self.abandoned += 1;
             return TimeoutOutcome::Abandoned;
         }
@@ -558,7 +616,7 @@ impl Client {
         let msg = pending.msg;
         self.retries += 1;
         TimeoutOutcome::Retry {
-            frame: self.rebuild_frame(msg),
+            frame: Client::rebuild_frame(msg),
             attempt,
             timeout: policy.timeout_for(attempt),
         }
@@ -566,7 +624,7 @@ impl Client {
 
     /// A timeout armed for (`req_id`, `attempt`) fired at `now`.
     pub fn on_timeout(&mut self, _now: SimTime, req_id: u64, attempt: u32) -> TimeoutOutcome {
-        match self.outstanding.get(&req_id) {
+        match self.pending(req_id) {
             Some(p) if p.attempt == attempt => {}
             _ => return TimeoutOutcome::Stale, // resolved or superseded
         }
@@ -578,7 +636,7 @@ impl Client {
     /// the current attempt, so resolve it immediately instead of waiting
     /// for the timeout.
     pub fn on_nack(&mut self, _now: SimTime, req_id: u64) -> TimeoutOutcome {
-        if !self.outstanding.contains_key(&req_id) {
+        if self.pending(req_id).is_none() {
             return TimeoutOutcome::Stale;
         }
         self.expire(req_id)
@@ -588,22 +646,29 @@ impl Client {
     /// `remaining_ns` field is repurposed as the NIC's load stamp (§5.2);
     /// when pacing is on, the client reacts to it. Duplicate responses
     /// (a retransmission raced the original) and orphans (the request was
-    /// already abandoned) are counted and suppressed, never recorded.
+    /// already abandoned) are counted and suppressed, never recorded. A
+    /// response for an id the client never issued touches nothing.
     pub fn on_response(&mut self, now: SimTime, frame: &ParsedFrame) -> ResponseOutcome {
         let msg = frame.msg;
+        let Some(index) = self.fate_index(msg.req_id) else {
+            return ResponseOutcome::Unknown;
+        };
         if let Some(p) = &mut self.pacing {
             p.observe(msg.remaining_ns);
         }
-        if self.done.contains(&msg.req_id) {
-            self.duplicates += 1;
-            return ResponseOutcome::Duplicate;
+        match self.fate[index] {
+            Fate::Done => {
+                self.duplicates += 1;
+                return ResponseOutcome::Duplicate;
+            }
+            Fate::GaveUp => {
+                self.orphaned += 1;
+                return ResponseOutcome::Orphaned;
+            }
+            Fate::Open => {}
         }
-        if self.gave_up.contains(&msg.req_id) {
-            self.orphaned += 1;
-            return ResponseOutcome::Orphaned;
-        }
-        self.done.insert(msg.req_id);
-        self.outstanding.remove(&msg.req_id);
+        self.resolve(msg.req_id, Fate::Done);
+        self.done += 1;
         let service = SimDuration::from_nanos(msg.service_ns);
         let sent_at = SimTime::from_nanos(msg.sent_at_ns);
         let class = self.spec.class_of(service);
@@ -611,16 +676,22 @@ impl Client {
         ResponseOutcome::Recorded
     }
 
-    /// Audit client bookkeeping: every issued request id lives in exactly
-    /// one of `outstanding` / `done` / `gave_up`, so their sizes must sum
-    /// to the number of requests sent. O(1), called per event on invcheck
-    /// runs.
+    /// Audit client bookkeeping: the fate table holds one entry per
+    /// request sent, and every sent request is completed, abandoned or
+    /// still open, each term counted on its own. O(1), called per event
+    /// on invcheck runs.
     pub fn check_invariants(&self, now: SimTime, inv: &mut InvariantChecker) {
         inv.check_conservation(
             now,
-            "client requests (sent = done + gave_up + outstanding)",
+            "client fate table (entries = sent)",
             self.sent,
-            (self.done.len() + self.gave_up.len() + self.outstanding.len()) as u64,
+            self.fate.len() as u64,
+        );
+        inv.check_conservation(
+            now,
+            "client requests (sent = done + abandoned + open)",
+            self.sent,
+            self.done + self.abandoned + self.open,
         );
     }
 
@@ -630,13 +701,13 @@ impl Client {
         FaultMetrics {
             attempts: self.sent + self.retries,
             launched: self.sent,
-            completed_all: self.done.len() as u64,
+            completed_all: self.done,
             retries: self.retries,
             timeouts: self.timeouts,
             duplicates: self.duplicates,
             orphaned: self.orphaned,
             abandoned: self.abandoned,
-            open_at_horizon: self.outstanding.len() as u64,
+            open_at_horizon: self.open,
             ..FaultMetrics::default()
         }
     }
@@ -679,6 +750,7 @@ pub fn assemble_metrics(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::{BTreeMap, BTreeSet};
     use workload::ServiceDist;
 
     fn spec() -> WorkloadSpec {
@@ -918,5 +990,269 @@ mod tests {
         assert_eq!(m.dropped, 2);
         assert_eq!(m.preemptions, 3);
         assert_eq!(m.p99, SimDuration::from_micros(15));
+    }
+
+    #[test]
+    fn responses_for_unissued_ids_touch_nothing() {
+        let mut master = Rng::new(3);
+        let mut s = spec();
+        s.warmup = SimDuration::ZERO;
+        let mut client = Client::new(s, &mut master);
+        client.enable_retries(RetryPolicy::paper_default());
+        let req = client.make_request(SimTime::ZERO);
+        let mut resp = ParsedFrame::parse(
+            &FrameSpec {
+                msg: req.msg.response(),
+                ..req
+            }
+            .build(),
+        )
+        .unwrap();
+        let before = client.fault_metrics();
+        for id in [0, client.next_id, u64::MAX] {
+            resp.msg.req_id = id;
+            assert_eq!(
+                client.on_response(SimTime::from_micros(9), &resp),
+                ResponseOutcome::Unknown,
+                "id {id}"
+            );
+            assert_eq!(
+                client.on_timeout(SimTime::ZERO, id, 1),
+                TimeoutOutcome::Stale
+            );
+            assert_eq!(client.on_nack(SimTime::ZERO, id), TimeoutOutcome::Stale);
+            assert_eq!(client.arm_timeout(id), None);
+        }
+        assert_eq!(client.recorder.completed, 0, "no latency sample");
+        assert_eq!(client.fault_metrics(), before, "no counter moved");
+        let mut inv = InvariantChecker::new(InvariantConfig::enabled());
+        client.check_invariants(SimTime::ZERO, &mut inv);
+        assert!(inv.violations().is_empty(), "{:?}", inv.violations());
+        // The one issued request still resolves normally.
+        resp.msg.req_id = req.msg.req_id;
+        assert_eq!(
+            client.on_response(SimTime::from_micros(9), &resp),
+            ResponseOutcome::Recorded
+        );
+    }
+
+    /// The client ledger as ordered maps keyed by request id — the shape
+    /// the fate table and open window replaced. Driven in lockstep with
+    /// [`Client`] by the differential test below.
+    #[derive(Default)]
+    struct MapLedger {
+        retry: Option<RetryPolicy>,
+        outstanding: BTreeMap<u64, PendingReq>,
+        done: BTreeSet<u64>,
+        gave_up: BTreeSet<u64>,
+        fm: FaultMetrics,
+    }
+
+    impl MapLedger {
+        fn send(&mut self, msg: MsgRepr) {
+            self.fm.launched += 1;
+            self.fm.attempts += 1;
+            self.outstanding
+                .insert(msg.req_id, PendingReq { msg, attempt: 1 });
+        }
+
+        fn arm_timeout(&self, id: u64) -> Option<(u32, SimDuration)> {
+            let attempt = self.outstanding.get(&id)?.attempt;
+            Some((attempt, self.retry?.timeout_for(attempt)))
+        }
+
+        fn expire(&mut self, id: u64) -> TimeoutOutcome {
+            let (Some(policy), Some(p)) = (self.retry, self.outstanding.get_mut(&id)) else {
+                return TimeoutOutcome::Stale;
+            };
+            if !policy.may_retry(p.attempt) {
+                self.outstanding.remove(&id);
+                self.gave_up.insert(id);
+                self.fm.abandoned += 1;
+                return TimeoutOutcome::Abandoned;
+            }
+            p.attempt += 1;
+            self.fm.retries += 1;
+            self.fm.attempts += 1;
+            TimeoutOutcome::Retry {
+                frame: Client::rebuild_frame(p.msg),
+                attempt: p.attempt,
+                timeout: policy.timeout_for(p.attempt),
+            }
+        }
+
+        fn on_timeout(&mut self, id: u64, attempt: u32) -> TimeoutOutcome {
+            if self.outstanding.get(&id).map(|p| p.attempt) != Some(attempt) {
+                return TimeoutOutcome::Stale;
+            }
+            self.fm.timeouts += 1;
+            self.expire(id)
+        }
+
+        fn on_nack(&mut self, id: u64) -> TimeoutOutcome {
+            if !self.outstanding.contains_key(&id) {
+                return TimeoutOutcome::Stale;
+            }
+            self.expire(id)
+        }
+
+        fn on_response(&mut self, id: u64) -> ResponseOutcome {
+            if self.done.contains(&id) {
+                self.fm.duplicates += 1;
+                return ResponseOutcome::Duplicate;
+            }
+            if self.gave_up.contains(&id) {
+                self.fm.orphaned += 1;
+                return ResponseOutcome::Orphaned;
+            }
+            self.done.insert(id);
+            self.outstanding.remove(&id);
+            ResponseOutcome::Recorded
+        }
+
+        fn fault_metrics(&self) -> FaultMetrics {
+            FaultMetrics {
+                completed_all: self.done.len() as u64,
+                open_at_horizon: self.outstanding.len() as u64,
+                ..self.fm
+            }
+        }
+    }
+
+    /// Seeded random traffic against both ledgers: out-of-order responses,
+    /// duplicates and orphans, stale and superseded timeouts, NACKs for
+    /// resolved ids. With `pin`, request 1 stays untouched for the first
+    /// `pin` steps, so the open window can never pop its front while
+    /// thousands of later ids resolve. Returns how often each response
+    /// and timeout outcome occurred: the [`ResponseOutcome`] variants,
+    /// then Stale, Retry and Abandoned.
+    fn drive_both(seed: u64, retry: Option<RetryPolicy>, steps: u32, pin: u32) -> [u32; 7] {
+        let mut master = Rng::new(seed);
+        let mut rng = master.fork();
+        let mut s = spec();
+        s.warmup = SimDuration::ZERO;
+        let mut client = Client::new(s, &mut master);
+        let mut reference = MapLedger {
+            retry,
+            ..MapLedger::default()
+        };
+        if let Some(policy) = retry {
+            client.enable_retries(policy);
+        }
+        let first = client.make_request(SimTime::ZERO);
+        reference.send(first.msg);
+        let mut template = ParsedFrame::parse(
+            &FrameSpec {
+                msg: first.msg.response(),
+                ..first
+            }
+            .build(),
+        )
+        .unwrap();
+        let mut issued = vec![first.msg];
+        let mut seen = [0u32; 7];
+        let mut inv = InvariantChecker::new(InvariantConfig::enabled());
+        for step in 0..steps {
+            if step == pin && pin > 0 {
+                let resolved = reference.done.len() + reference.gave_up.len();
+                assert!(resolved > 2_000, "only {resolved} later ids resolved");
+                assert_eq!(client.window_base, 1, "request 1 holds the front");
+                assert!(client.window.len() > 2_000);
+            }
+            let now = SimTime::from_micros(u64::from(step));
+            if rng.chance(0.3) {
+                let frame = client.make_request(now);
+                reference.send(frame.msg);
+                issued.push(frame.msg);
+            } else {
+                let n = issued.len() as u64;
+                // Mostly recent ids (responses overtake each other), else
+                // any id ever issued (late duplicates, orphans, stale
+                // firings).
+                let pick = if rng.chance(0.7) {
+                    n - 1 - rng.next_below(n.min(16))
+                } else {
+                    rng.next_below(n)
+                };
+                let id = pick + 1;
+                if id == 1 && step < pin {
+                    continue;
+                }
+                match rng.next_below(10) {
+                    0..=4 => {
+                        template.msg = issued[pick as usize].response();
+                        let got = client.on_response(now, &template);
+                        assert_eq!(got, reference.on_response(id), "seed {seed} step {step}");
+                        seen[got as usize] += 1;
+                    }
+                    5..=7 => {
+                        // The live attempt half the time, else any attempt
+                        // number: stale or superseded.
+                        let live = reference.outstanding.get(&id).map(|p| p.attempt);
+                        let attempt = match live {
+                            Some(a) if rng.chance(0.5) => a,
+                            _ => 1 + rng.next_below(4) as u32,
+                        };
+                        let got = client.on_timeout(now, id, attempt);
+                        let want = reference.on_timeout(id, attempt);
+                        assert_eq!(got, want, "seed {seed} step {step}");
+                        seen[4 + timeout_tag(&got)] += 1;
+                    }
+                    8 => {
+                        let got = client.on_nack(now, id);
+                        assert_eq!(got, reference.on_nack(id), "seed {seed} step {step}");
+                        seen[4 + timeout_tag(&got)] += 1;
+                    }
+                    _ => assert_eq!(client.arm_timeout(id), reference.arm_timeout(id)),
+                }
+            }
+            assert_eq!(
+                client.fault_metrics(),
+                reference.fault_metrics(),
+                "seed {seed} step {step}"
+            );
+            assert_eq!(client.recorder.completed, reference.done.len() as u64);
+            client.check_invariants(now, &mut inv);
+        }
+        assert!(inv.violations().is_empty(), "{:?}", inv.violations());
+        seen
+    }
+
+    /// Index of a timeout outcome's variant (Stale, Retry, Abandoned).
+    fn timeout_tag(o: &TimeoutOutcome) -> usize {
+        match o {
+            TimeoutOutcome::Stale => 0,
+            TimeoutOutcome::Retry { .. } => 1,
+            TimeoutOutcome::Abandoned => 2,
+        }
+    }
+
+    #[test]
+    fn ledger_matches_the_ordered_map_reference() {
+        let mut seen = [0u32; 7];
+        for seed in 0..16 {
+            let retry = match seed % 4 {
+                0 => None,
+                k => Some(RetryPolicy {
+                    max_attempts: k as u32,
+                    ..RetryPolicy::paper_default()
+                }),
+            };
+            let pin = if seed % 2 == 0 { 12_000 } else { 0 };
+            let counts = drive_both(seed, retry, 14_000, pin);
+            seen.iter_mut().zip(counts).for_each(|(a, b)| *a += b);
+        }
+        // Every outcome but Unknown (never sent here) actually occurred.
+        let [recorded, duplicate, orphaned, _, stale, retry, abandoned] = seen;
+        for (what, n) in [
+            ("recorded", recorded),
+            ("duplicate", duplicate),
+            ("orphaned", orphaned),
+            ("stale", stale),
+            ("retry", retry),
+            ("abandoned", abandoned),
+        ] {
+            assert!(n > 100, "{what} occurred only {n} times");
+        }
     }
 }
