@@ -7,13 +7,18 @@
 //! `--invariants` layers the runtime invariant checker over the smoke run
 //! (bit-identical output, panics on violations); `--json` prints rows as
 //! JSON instead of the aligned table; `--quick` shrinks the grid;
-//! `--policy <spec>` replaces the policy list (registry grammar, e.g.
-//! `srpt` or `edf:deadline=50us`).
+//! `--policy <spec>` replaces the policy list (policy spec grammar, e.g.
+//! `srpt` or `edf:deadline=50us`); the smoke grid always runs fcfs, so
+//! `--smoke --policy` is refused with exit code 2.
 fn main() {
     experiments::sweep::init_jobs_from_args();
     let args: Vec<String> = std::env::args().collect();
     let as_json = args.iter().any(|a| a == "--json");
     let invariants = args.iter().any(|a| a == "--invariants");
+    if let Err(e) = experiments::sweep::reject_policy_with_smoke(&args) {
+        eprintln!("{e}");
+        std::process::exit(2);
+    }
     let policy = experiments::sweep::policy_from_args(&args);
     let rows = if args.iter().any(|a| a == "--smoke") {
         experiments::recovery::smoke_checked(invariants)

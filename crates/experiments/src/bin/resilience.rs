@@ -6,12 +6,16 @@
 //! panics on any causality/conservation violation); `--json` prints the
 //! rows as JSON instead of the aligned table; `--quick` shrinks the grid;
 //! `--policy <spec>` swaps the scheduler on every policy-capable assembly
-//! (registry grammar, e.g. `srpt` or `edf:deadline=50us`).
+//! (policy spec grammar, e.g. `srpt` or `edf:deadline=50us`).
 fn main() {
     experiments::sweep::init_jobs_from_args();
     let args: Vec<String> = std::env::args().collect();
     let as_json = args.iter().any(|a| a == "--json");
     let invariants = args.iter().any(|a| a == "--invariants");
+    if let Err(e) = experiments::sweep::reject_policy_with_smoke(&args) {
+        eprintln!("{e}");
+        std::process::exit(2);
+    }
     let policy = experiments::sweep::policy_from_args(&args);
     let rows = if args.iter().any(|a| a == "--smoke") {
         experiments::resilience::smoke_checked(invariants)

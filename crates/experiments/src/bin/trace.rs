@@ -9,7 +9,7 @@
 //! `system` is one of `offload` (default), `shinjuku`, `rss`, `rpcvalet`,
 //! `multi`; `rps` the offered load (default 200000). `--json` emits the
 //! timelines as a JSON array instead of tables. `--policy` swaps the
-//! scheduler on policy-capable assemblies (registry grammar, e.g.
+//! scheduler on policy-capable assemblies (policy spec grammar, e.g.
 //! `srpt` or `edf:deadline=50us`).
 
 use std::collections::BTreeMap;

@@ -214,8 +214,11 @@ pub fn policies(scale: Scale) -> Figure {
             base,
             vec![
                 with("FCFS", PolicySpec::FCFS),
-                with("SRF", PolicySpec::named("srf")),
-                with("ClassPrio", PolicySpec::named("class-priority:cutoff=10us")),
+                with("SRF", PolicySpec::SRF),
+                with(
+                    "ClassPrio",
+                    PolicySpec::class_priority(SimDuration::from_micros(10)),
+                ),
             ],
         ),
     }

@@ -1,15 +1,15 @@
-//! The `policies` sweep: every scheduling policy in the registry crossed
+//! The `policies` sweep: every scheduling policy `nicsched` ships crossed
 //! with the paper's Figure 2/3 workloads on every assembly.
 //!
 //! §5.1(4) argues a NIC-resident scheduler should expose *programmable*
-//! policies. The registry (`nicsched::PolicyRegistry`) makes the policy a
-//! string-keyed plug-in; this experiment is the corresponding sweep
-//! driver: each registered policy runs the bimodal Figure 2 workload and
-//! the saturating fixed-1 µs Figure 3 workload through the three
-//! policy-capable assemblies (Shinjuku-Offload, host Shinjuku,
-//! multi-dispatcher Shinjuku). The policy-oblivious designs (RSS baseline
-//! and RPCValet) run once per workload as controls — the line a policy
-//! has to beat without a central queue to act on.
+//! policies. A `nicsched::PolicySpec` names the policy a system config
+//! plugs in; this experiment is the corresponding sweep driver: each
+//! policy runs the bimodal Figure 2 workload and the saturating fixed-1 µs
+//! Figure 3 workload through the three policy-capable assemblies
+//! (Shinjuku-Offload, host Shinjuku, multi-dispatcher Shinjuku). The
+//! policy-oblivious designs (RSS baseline and RPCValet) run once per
+//! workload as controls — the line a policy has to beat without a central
+//! queue to act on.
 //!
 //! Cells are independent seeded simulations fanned over the sweep pool,
 //! so rows are byte-identical at any `--jobs` value.
@@ -30,7 +30,7 @@ use crate::report::csv_field;
 /// One cell of the policy sweep.
 #[derive(Debug, Clone)]
 pub struct PolicyRow {
-    /// Registry spec of the policy under test (`-` for the
+    /// Canonical spec of the policy under test (`-` for the
     /// policy-oblivious controls).
     pub policy: String,
     /// System label (from [`ServerSystem::name`]).
@@ -53,8 +53,8 @@ pub struct PolicyRow {
     pub preemptions: u64,
 }
 
-/// The registry entries the sweep exercises — every policy shipped in
-/// [`nicsched::PolicyRegistry::standard`], with parameterised grammar
+/// The specs the sweep exercises — every policy in
+/// [`nicsched::POLICIES`], with parameterised grammar
 /// where the defaults would be degenerate.
 pub fn sweep_specs() -> Vec<PolicySpec> {
     [
@@ -260,14 +260,14 @@ mod tests {
     use std::collections::BTreeSet;
 
     #[test]
-    fn sweep_covers_the_registry_and_every_assembly() {
+    fn sweep_covers_every_policy_and_every_assembly() {
         let rows = run(Scale::Quick);
         let policies: BTreeSet<&str> = rows.iter().map(|r| r.policy.as_str()).collect();
         let systems: BTreeSet<&str> = rows.iter().map(|r| r.system).collect();
         let workloads: BTreeSet<&str> = rows.iter().map(|r| r.workload).collect();
         assert!(
             policies.len() >= 7, // 8 specs + the "-" control marker
-            "expected the full registry in the sweep: {policies:?}"
+            "expected every policy in the sweep: {policies:?}"
         );
         for must in [
             "fcfs",
@@ -307,7 +307,7 @@ mod tests {
     #[test]
     fn rows_are_byte_identical_at_any_job_count() {
         // The satellite guarantee behind CI's `--jobs` diff: every
-        // registry entry's cells are independent seeded sims, so the
+        // policy's cells are independent seeded sims, so the
         // fan-out width cannot perturb a single byte of output.
         crate::sweep::set_jobs(1);
         let serial = json(&run(Scale::Quick));

@@ -26,7 +26,7 @@
 //! headline result: NIC recovery strictly beats retry-only p99 for both
 //! fault types.
 
-use nicsched::RecoveryPolicy;
+use nicsched::{PolicySpec, RecoveryPolicy};
 use sim_core::{FaultConfig, ProbeConfig, SimDuration, SimTime};
 use systems::offload::OffloadConfig;
 use systems::{ResilienceConfig, ServerSystem, SystemConfig};
@@ -88,7 +88,7 @@ impl Fault {
 #[derive(Debug, Clone)]
 pub struct RecoveryRow {
     /// Scheduling policy spec driving the dispatcher.
-    pub policy: &'static str,
+    pub policy: String,
     /// Fault type label.
     pub fault: &'static str,
     /// Recovery arm: `"retry-only"` or `"nic-recovery"`.
@@ -134,10 +134,10 @@ fn spec_for(scale: Scale) -> WorkloadSpec {
     }
 }
 
-fn policies(scale: Scale) -> Vec<&'static str> {
+fn policies(scale: Scale) -> Vec<PolicySpec> {
     match scale {
-        Scale::Quick => vec!["fcfs"],
-        Scale::Full => vec!["fcfs", "srpt"],
+        Scale::Quick => vec![PolicySpec::FCFS],
+        Scale::Full => vec![PolicySpec::FCFS, PolicySpec::SRPT],
     }
 }
 
@@ -151,7 +151,7 @@ fn windows(scale: Scale) -> Vec<u64> {
 /// The two arms share everything — workload, seed, fault schedule, retry
 /// policy — except the `recovery` field.
 fn cell(
-    policy: &'static str,
+    policy: PolicySpec,
     fault: Fault,
     window_us: Option<u64>,
     spec: WorkloadSpec,
@@ -164,22 +164,23 @@ fn cell(
     if let Some(us) = window_us {
         res = res.with_recovery(RecoveryPolicy::with_suspicion(SimDuration::from_micros(us)));
     }
-    let mut cfg = OffloadConfig::paper(WORKERS, 4);
-    cfg.policy = nicsched::PolicySpec::parse(policy).expect("valid policy spec");
-    let sys = SystemConfig::Offload(cfg);
+    let sys = SystemConfig::Offload(OffloadConfig {
+        policy,
+        ..OffloadConfig::paper(WORKERS, 4)
+    });
     let m = sys.run_resilient(spec, ProbeConfig::disabled(), res);
     row_from(policy, fault, window_us, &m)
 }
 
 fn row_from(
-    policy: &'static str,
+    policy: PolicySpec,
     fault: Fault,
     window_us: Option<u64>,
     m: &RunMetrics,
 ) -> RecoveryRow {
     let f = &m.faults;
     RecoveryRow {
-        policy,
+        policy: policy.to_string(),
         fault: fault.label(),
         mode: if window_us.is_some() {
             "nic-recovery"
@@ -209,14 +210,13 @@ pub fn run(scale: Scale) -> Vec<RecoveryRow> {
 
 /// [`run`] with an optional policy override replacing the default policy
 /// list (`--policy`); `None` matches [`run`] exactly.
-pub fn run_with(scale: Scale, policy: Option<nicsched::PolicySpec>) -> Vec<RecoveryRow> {
+pub fn run_with(scale: Scale, policy: Option<PolicySpec>) -> Vec<RecoveryRow> {
     let spec = spec_for(scale);
-    let policy_list: Vec<&'static str> = match policy {
-        // Spec strings are interned, so the label is already 'static.
-        Some(p) => vec![p.as_str()],
+    let policy_list = match policy {
+        Some(p) => vec![p],
         None => policies(scale),
     };
-    let mut cells: Vec<(&'static str, Fault, Option<u64>)> = Vec::new();
+    let mut cells: Vec<(PolicySpec, Fault, Option<u64>)> = Vec::new();
     for &p in &policy_list {
         for fault in [Fault::Crash, Fault::Stall] {
             cells.push((p, fault, None));
@@ -258,7 +258,7 @@ pub fn smoke_checked(invariants: bool) -> Vec<RecoveryRow> {
             }
             let sys = SystemConfig::Offload(OffloadConfig::paper(WORKERS, 4));
             let m = sys.run_resilient(spec, ProbeConfig::enabled(), res);
-            let row = row_from("fcfs", fault, window, &m);
+            let row = row_from(PolicySpec::FCFS, fault, window, &m);
             assert_eq!(
                 row.unaccounted, 0,
                 "{} {}: request ledger leaks: {:?}",

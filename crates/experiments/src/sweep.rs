@@ -64,7 +64,7 @@ pub fn init_jobs_from_args() -> usize {
 }
 
 /// Parse `--policy <spec>` / `--policy=<spec>` from `args` using the
-/// scheduler registry grammar (`srpt`, `edf:deadline=50us`,
+/// policy spec grammar (`srpt`, `edf:deadline=50us`,
 /// `wfq:w=4,1,1`, ...). Returns `None` when the flag is absent. Unlike
 /// `--jobs`, a malformed spec aborts the process: silently sweeping the
 /// default policy when the user asked for another would corrupt results.
@@ -82,16 +82,29 @@ pub fn policy_from_args(args: &[String]) -> Option<nicsched::PolicySpec> {
                 Ok(spec) => found = Some(spec),
                 Err(e) => {
                     eprintln!("invalid --policy {v:?}: {e}");
-                    eprintln!(
-                        "known policies: {}",
-                        nicsched::PolicyRegistry::standard().names().join(", ")
-                    );
+                    let names: Vec<&str> = nicsched::POLICIES.iter().map(|(n, _)| *n).collect();
+                    eprintln!("known policies: {}", names.join(", "));
                     std::process::exit(2);
                 }
             }
         }
     }
     found
+}
+
+/// `--smoke` runs a fixed grid under the default policy, so a `--policy`
+/// beside it would be silently ignored; refuse the pair instead, for the
+/// same reason [`policy_from_args`] refuses a malformed spec.
+pub fn reject_policy_with_smoke(args: &[String]) -> Result<(), String> {
+    let smoke = args.iter().any(|a| a == "--smoke");
+    let policy = args
+        .iter()
+        .any(|a| a == "--policy" || a.starts_with("--policy="));
+    if smoke && policy {
+        Err("--policy cannot be combined with --smoke: the smoke grid always runs fcfs".into())
+    } else {
+        Ok(())
+    }
 }
 
 /// [`policy_from_args`] over this process's own arguments.
@@ -417,5 +430,15 @@ mod tests {
         });
         assert_eq!(m.p99, m2.p99);
         assert_eq!(cv, cv2);
+    }
+
+    #[test]
+    fn smoke_refuses_a_policy() {
+        let args = |a: &[&str]| -> Vec<String> { a.iter().map(|s| s.to_string()).collect() };
+        assert!(reject_policy_with_smoke(&args(&["bin", "--smoke", "--policy", "srpt"])).is_err());
+        assert!(reject_policy_with_smoke(&args(&["bin", "--policy=srpt", "--smoke"])).is_err());
+        assert!(reject_policy_with_smoke(&args(&["bin", "--smoke", "--json"])).is_ok());
+        assert!(reject_policy_with_smoke(&args(&["bin", "--policy", "srpt"])).is_ok());
+        assert!(reject_policy_with_smoke(&args(&["bin", "--policy=srpt"])).is_ok());
     }
 }

@@ -15,7 +15,6 @@ use sim_core::{SimDuration, SimTime};
 use crate::policy::{
     DepthStats, Fcfs, FeedbackEvent, Pick, PreemptDecision, RunningTask, SchedPolicy,
 };
-use crate::registry::fmt_duration;
 use crate::select::WorkerView;
 use crate::task::Task;
 
@@ -62,9 +61,6 @@ impl SchedPolicy for Cfcfs {
     }
     fn len(&self) -> usize {
         self.0.len()
-    }
-    fn label(&self) -> String {
-        "cfcfs".to_string()
     }
     fn mean_depth(&self, now: SimTime) -> f64 {
         self.0.mean_depth(now)
@@ -232,10 +228,6 @@ impl SchedPolicy for Dfcfs {
 
     fn len(&self) -> usize {
         self.queued
-    }
-
-    fn label(&self) -> String {
-        "dfcfs".to_string()
     }
 
     fn mean_depth(&self, now: SimTime) -> f64 {
@@ -435,26 +427,6 @@ impl SchedPolicy for Srpt {
         self.queue.heap.len()
     }
 
-    fn label(&self) -> String {
-        let mut s = String::from("srpt");
-        let defaults = Srpt::new();
-        let mut params = Vec::new();
-        if self.gain != defaults.gain {
-            params.push(format!("gain={}", self.gain));
-        }
-        if self.boost != defaults.boost {
-            params.push(format!("boost={}", self.boost));
-        }
-        if self.floor != defaults.floor {
-            params.push(format!("floor={}", fmt_duration(self.floor)));
-        }
-        if !params.is_empty() {
-            s.push(':');
-            s.push_str(&params.join(","));
-        }
-        s
-    }
-
     fn mean_depth(&self, now: SimTime) -> f64 {
         self.queue.depth.tw.mean_until(now)
     }
@@ -517,18 +489,6 @@ impl SchedPolicy for Edf {
 
     fn len(&self) -> usize {
         self.queue.heap.len()
-    }
-
-    fn label(&self) -> String {
-        if self.stretch == 0 {
-            format!("edf:deadline={}", fmt_duration(self.deadline))
-        } else {
-            format!(
-                "edf:deadline={},stretch={}",
-                fmt_duration(self.deadline),
-                self.stretch
-            )
-        }
     }
 
     fn mean_depth(&self, now: SimTime) -> f64 {
@@ -667,11 +627,6 @@ impl SchedPolicy for WeightedFair {
         self.queued
     }
 
-    fn label(&self) -> String {
-        let ws: Vec<String> = self.weights.iter().map(|w| w.to_string()).collect();
-        format!("wfq:w={}", ws.join(","))
-    }
-
     fn mean_depth(&self, now: SimTime) -> f64 {
         self.depth.tw.mean_until(now)
     }
@@ -690,6 +645,7 @@ fn drain(q: &mut dyn SchedPolicy, now: SimTime) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PolicySpec;
 
     fn task(id: u64, service_us: u64) -> Task {
         Task::new(
@@ -721,8 +677,6 @@ mod tests {
         WorkerView {
             worker,
             outstanding: 0,
-            last_req: None,
-            idle_since: Some(SimTime::ZERO),
             health: crate::WorkerHealth::Healthy,
         }
     }
@@ -733,7 +687,7 @@ mod tests {
         q.enqueue(us(0), task(1, 50));
         q.enqueue(us(0), task(2, 1));
         assert_eq!(drain(&mut q, us(1)), vec![1, 2]);
-        assert_eq!(q.label(), "cfcfs");
+        assert_eq!(PolicySpec::parse("cfcfs").unwrap().to_string(), "cfcfs");
     }
 
     #[test]
@@ -916,7 +870,10 @@ mod tests {
         let mut all = order.clone();
         all.sort_unstable();
         assert_eq!(all, (0..12).collect::<Vec<u64>>());
-        assert_eq!(q.label(), "wfq:w=3,1");
+        assert_eq!(
+            PolicySpec::parse("wfq:w=3,1").unwrap().to_string(),
+            "wfq:w=3,1"
+        );
     }
 
     #[test]
@@ -1016,21 +973,15 @@ mod tests {
 
     #[test]
     fn disciplines_conserve_work() {
-        let policies: Vec<Box<dyn SchedPolicy>> = vec![
-            Box::new(Cfcfs::new()),
-            Box::new(Dfcfs::new()),
-            Box::new(Srpt::new()),
-            Box::new(Edf::new(SimDuration::from_micros(50))),
-            Box::new(WeightedFair::new(vec![4, 1, 1])),
-        ];
-        for mut p in policies {
+        for spec in ["cfcfs", "dfcfs", "srpt", "edf:deadline=50us", "wfq:w=4,1,1"] {
+            let mut p = PolicySpec::parse(spec).unwrap().build();
             p.init(4);
             for id in 0..40 {
                 p.enqueue(us(id), task(id, 1 + id % 7));
             }
             let mut out = drain(p.as_mut(), us(100));
             out.sort_unstable();
-            assert_eq!(out, (0..40).collect::<Vec<u64>>(), "{}", p.label());
+            assert_eq!(out, (0..40).collect::<Vec<u64>>(), "{spec}");
             assert!(p.is_empty());
             assert_eq!(p.peak_depth(), 40);
         }

@@ -91,13 +91,6 @@ pub enum AdmitOutcome {
     },
 }
 
-#[derive(Clone, Copy, Debug)]
-struct WorkerState {
-    outstanding: u32,
-    last_req: Option<u64>,
-    idle_since: Option<SimTime>,
-}
-
 /// A dispatched request the dispatcher is still waiting on: which worker
 /// owns it and the task as last dispatched (so a reclaim can re-queue it
 /// and a completion can report the true service to the policy — the
@@ -134,7 +127,8 @@ struct InFlight {
 pub struct Dispatcher<P, S> {
     policy: P,
     selector: S,
-    workers: Vec<WorkerState>,
+    // Requests outstanding at each worker, by worker index.
+    outstanding: Vec<u32>,
     outstanding_cap: u32,
     admission: AdmissionPolicy,
     // Stale-feedback fallback: when set, worker selection ignores the
@@ -172,14 +166,7 @@ impl<P: SchedPolicy, S: CoreSelector> Dispatcher<P, S> {
         Dispatcher {
             policy,
             selector,
-            workers: vec![
-                WorkerState {
-                    outstanding: 0,
-                    last_req: None,
-                    idle_since: Some(SimTime::ZERO)
-                };
-                n_workers
-            ],
+            outstanding: vec![0; n_workers],
             outstanding_cap,
             admission: AdmissionPolicy::Open,
             degraded: false,
@@ -195,7 +182,7 @@ impl<P: SchedPolicy, S: CoreSelector> Dispatcher<P, S> {
     /// this is called the dispatcher behaves bit-identically to the
     /// pre-recovery code path.
     pub fn enable_recovery(&mut self, policy: RecoveryPolicy) {
-        self.health = Some(HealthTracker::new(self.workers.len(), policy));
+        self.health = Some(HealthTracker::new(self.outstanding.len(), policy));
     }
 
     /// The failure detector, when recovery is armed.
@@ -268,16 +255,9 @@ impl<P: SchedPolicy, S: CoreSelector> Dispatcher<P, S> {
         }
         self.note_activity(now, worker);
         self.stats.completions += 1;
-        let w = &mut self.workers[worker];
-        debug_assert!(
-            w.outstanding > 0,
-            "completion from a worker with nothing outstanding"
-        );
-        w.outstanding = w.outstanding.saturating_sub(1);
-        w.last_req = Some(req_id);
-        if w.outstanding == 0 {
-            w.idle_since = Some(now);
-        }
+        let n = &mut self.outstanding[worker];
+        debug_assert!(*n > 0, "completion from a worker with nothing outstanding");
+        *n = n.saturating_sub(1);
         let service = self
             .in_flight
             .remove(&req_id)
@@ -303,16 +283,9 @@ impl<P: SchedPolicy, S: CoreSelector> Dispatcher<P, S> {
         }
         self.note_activity(now, worker);
         self.stats.requeued += 1;
-        let w = &mut self.workers[worker];
-        debug_assert!(
-            w.outstanding > 0,
-            "preemption from a worker with nothing outstanding"
-        );
-        w.outstanding = w.outstanding.saturating_sub(1);
-        w.last_req = Some(task.req_id);
-        if w.outstanding == 0 {
-            w.idle_since = Some(now);
-        }
+        let n = &mut self.outstanding[worker];
+        debug_assert!(*n > 0, "preemption from a worker with nothing outstanding");
+        *n = n.saturating_sub(1);
         self.in_flight.remove(&task.req_id);
         self.policy.feedback(
             now,
@@ -346,8 +319,7 @@ impl<P: SchedPolicy, S: CoreSelector> Dispatcher<P, S> {
         let Some(h) = self.health.as_mut() else {
             return Vec::new();
         };
-        let outstanding: Vec<u32> = self.workers.iter().map(|w| w.outstanding).collect();
-        let suspects = h.check(now, &outstanding);
+        let suspects = h.check(now, &self.outstanding);
         if suspects.is_empty() {
             return Vec::new();
         }
@@ -369,11 +341,7 @@ impl<P: SchedPolicy, S: CoreSelector> Dispatcher<P, S> {
             .collect();
         for id in ids {
             let e = self.in_flight.remove(&id).expect("collected above");
-            let w = &mut self.workers[worker];
-            w.outstanding = w.outstanding.saturating_sub(1);
-            if w.outstanding == 0 {
-                w.idle_since = Some(now);
-            }
+            self.outstanding[worker] = self.outstanding[worker].saturating_sub(1);
             *self.reclaimed.entry((id, worker)).or_insert(0) += 1;
             self.stats.recovered += 1;
             self.stats.requeued += 1;
@@ -471,19 +439,17 @@ impl<P: SchedPolicy, S: CoreSelector> Dispatcher<P, S> {
             // Gather non-quarantined, health-selectable candidates below
             // the cap.
             let candidates: Vec<WorkerView> = self
-                .workers
+                .outstanding
                 .iter()
                 .enumerate()
-                .filter(|(i, w)| {
-                    !self.excluded[*i]
-                        && w.outstanding < self.outstanding_cap
-                        && self.health.as_ref().map_or(true, |h| h.selectable(*i))
+                .filter(|&(i, &n)| {
+                    !self.excluded[i]
+                        && n < self.outstanding_cap
+                        && self.health.as_ref().map_or(true, |h| h.selectable(i))
                 })
-                .map(|(i, w)| WorkerView {
+                .map(|(i, &n)| WorkerView {
                     worker: i,
-                    outstanding: w.outstanding,
-                    last_req: w.last_req,
-                    idle_since: w.idle_since,
+                    outstanding: n,
                     health: self
                         .health
                         .as_ref()
@@ -534,9 +500,7 @@ impl<P: SchedPolicy, S: CoreSelector> Dispatcher<P, S> {
             );
             let mut task = task;
             task.preempt = decision;
-            let w = &mut self.workers[worker];
-            w.outstanding += 1;
-            w.idle_since = None;
+            self.outstanding[worker] += 1;
             self.stats.assigned += 1;
             if let Some(h) = self.health.as_mut() {
                 // Lease renewal: the worker owes this request back within
@@ -557,17 +521,12 @@ impl<P: SchedPolicy, S: CoreSelector> Dispatcher<P, S> {
 
     /// Outstanding count the dispatcher believes `worker` has.
     pub fn outstanding(&self, worker: usize) -> u32 {
-        self.workers[worker].outstanding
+        self.outstanding[worker]
     }
 
     /// Total outstanding across all workers.
     pub fn total_outstanding(&self) -> u32 {
-        self.workers.iter().map(|w| w.outstanding).sum()
-    }
-
-    /// Number of workers.
-    pub fn worker_count(&self) -> usize {
-        self.workers.len()
+        self.outstanding.iter().sum()
     }
 
     /// The configured outstanding cap.
@@ -1006,8 +965,8 @@ mod tests {
 mod proptests {
     use super::*;
     use crate::policy::{Fcfs, ShortestRemaining};
-    use crate::registry::PolicyRegistry;
-    use crate::select::{LeastOutstanding, RoundRobin};
+    use crate::select::{LeastOutstanding, SocketAffinity};
+    use crate::spec::PolicySpec;
     use proptest::prelude::*;
     use sim_core::{SimDuration, SimTime};
 
@@ -1096,11 +1055,14 @@ mod proptests {
 
     fn drive(ops: Vec<u8>, workers: usize, cap: u32, srf: bool) -> Result<(), TestCaseError> {
         if srf {
+            // Dual socket: the first half of the workers share socket 0
+            // with the NIC, as offload's topology lays them out.
+            let sockets = (0..workers).map(|w| (w * 2 / workers) as u8).collect();
             let mut d = Dispatcher::new(
                 workers,
                 cap,
                 ShortestRemaining::new(),
-                RoundRobin::default(),
+                SocketAffinity::new(sockets, 0),
             );
             check(&ops, &mut d, workers, cap, true)
         } else {
@@ -1109,10 +1071,10 @@ mod proptests {
         }
     }
 
-    /// Same invariant run for every standard-registry policy, via the
-    /// boxed path experiments actually use.
+    /// Same invariant run for every spec'd policy, via the boxed path
+    /// experiments actually use.
     fn drive_spec(ops: Vec<u8>, workers: usize, cap: u32, spec: &str) -> Result<(), TestCaseError> {
-        let policy = PolicyRegistry::standard().build(spec).expect(spec);
+        let policy = PolicySpec::parse(spec).expect(spec).build();
         let mut d = Dispatcher::new(workers, cap, policy, LeastOutstanding);
         // dFCFS may park work while its home cores are busy.
         let work_conserving = spec != "dfcfs";
@@ -1139,7 +1101,7 @@ mod proptests {
         }
 
         #[test]
-        fn every_registry_policy_holds_the_ledger_invariants(
+        fn every_policy_spec_holds_the_ledger_invariants(
             ops in proptest::collection::vec(any::<u8>(), 1..200),
             workers in 1usize..6,
             cap in 1u32..5,
@@ -1179,7 +1141,7 @@ mod proptests {
                 "class-priority:cutoff=10us",
                 "wfq:w=4,1,1",
             ];
-            let policy = PolicyRegistry::standard().build(specs[which]).unwrap();
+            let policy = PolicySpec::parse(specs[which]).unwrap().build();
             let mut d = Dispatcher::new(workers, cap, policy, LeastOutstanding);
             d.enable_recovery(crate::RecoveryPolicy::with_suspicion(
                 SimDuration::from_micros(5),

@@ -13,12 +13,12 @@
 //!   Implementations: [`Fcfs`], [`Cfcfs`], [`Dfcfs`],
 //!   [`ShortestRemaining`], [`Srpt`], [`Edf`], [`ClassPriority`],
 //!   [`WeightedFair`].
-//! * [`PolicyRegistry`] / [`PolicySpec`] — string-keyed policy lookup with
-//!   a spec grammar (`"fcfs"`, `"edf:deadline=50us"`, `"wfq:w=4,1,1"`), so
-//!   configs and CLIs name policies without a closed enum.
+//! * [`PolicySpec`] — a policy named by a spec (`"fcfs"`,
+//!   `"edf:deadline=50us"`, `"wfq:w=4,1,1"`), parsed once into a typed
+//!   `Copy` value whose `Display` is the canonical spelling, so configs
+//!   and CLIs name parameterized policies and building one cannot fail.
 //! * [`CoreSelector`] — programmable worker selection
-//!   ([`LeastOutstanding`], [`RoundRobin`], [`Affinity`],
-//!   [`MostRecentlyIdle`]).
+//!   ([`LeastOutstanding`], [`SocketAffinity`]).
 //! * [`Dispatcher`] — the centralized, preemptive dispatcher: queuing,
 //!   selection, and the §3.4.5 outstanding-requests cap ("queuing
 //!   optimization"). The same state machine runs on a host core
@@ -48,8 +48,8 @@ pub mod params;
 mod policy;
 mod profile;
 mod recovery;
-mod registry;
 mod select;
+mod spec;
 mod task;
 
 pub use admission::{Admission, AdmissionPolicy};
@@ -62,12 +62,6 @@ pub use policy::{
 };
 pub use profile::{NicProfile, SchedCompute};
 pub use recovery::{HealthTracker, RecoveryPolicy, RecoveryStats, WorkerHealth};
-pub use registry::{
-    fmt_duration, parse_duration, PolicyBuilder, PolicyError, PolicyParams, PolicyRegistry,
-    PolicySpec,
-};
-pub use select::{
-    Affinity, CoreSelector, LeastOutstanding, MostRecentlyIdle, RoundRobin, SocketAffinity,
-    WorkerView,
-};
+pub use select::{CoreSelector, LeastOutstanding, SocketAffinity, WorkerView};
+pub use spec::{PolicyError, PolicySpec, MAX_WFQ_LANES, POLICIES};
 pub use task::Task;

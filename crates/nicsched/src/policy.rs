@@ -163,7 +163,7 @@ impl Pick {
 ///
 /// Only the queue methods ([`enqueue`](SchedPolicy::enqueue),
 /// [`requeue`](SchedPolicy::requeue), [`dequeue`](SchedPolicy::dequeue),
-/// [`len`](SchedPolicy::len), [`label`](SchedPolicy::label), depth stats)
+/// [`len`](SchedPolicy::len), depth stats)
 /// are mandatory; the scheduling hooks default to the paper's behaviour —
 /// [`pick_next`](SchedPolicy::pick_next) pops the queue and lets the core
 /// selector place it, [`should_preempt`](SchedPolicy::should_preempt)
@@ -222,10 +222,6 @@ pub trait SchedPolicy {
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
-    /// Policy label for tables and CSV, including parameters (so
-    /// `class-priority:cutoff=10us` and `class-priority:cutoff=50us` stay
-    /// distinguishable in reports).
-    fn label(&self) -> String;
     /// Time-weighted mean queue depth since creation.
     fn mean_depth(&self, now: SimTime) -> f64;
     /// Peak queue depth.
@@ -269,9 +265,6 @@ impl SchedPolicy for Box<dyn SchedPolicy> {
     }
     fn is_empty(&self) -> bool {
         (**self).is_empty()
-    }
-    fn label(&self) -> String {
-        (**self).label()
     }
     fn mean_depth(&self, now: SimTime) -> f64 {
         (**self).mean_depth(now)
@@ -347,10 +340,6 @@ impl SchedPolicy for Fcfs {
 
     fn len(&self) -> usize {
         self.queue.len()
-    }
-
-    fn label(&self) -> String {
-        "fcfs".to_string()
     }
 
     fn mean_depth(&self, now: SimTime) -> f64 {
@@ -450,10 +439,6 @@ impl SchedPolicy for ShortestRemaining {
         self.heap.len()
     }
 
-    fn label(&self) -> String {
-        "srf".to_string()
-    }
-
     fn mean_depth(&self, now: SimTime) -> f64 {
         self.depth.tw.mean_until(now)
     }
@@ -521,13 +506,6 @@ impl SchedPolicy for ClassPriority {
 
     fn len(&self) -> usize {
         self.short.len() + self.long.len()
-    }
-
-    fn label(&self) -> String {
-        format!(
-            "class-priority:cutoff={}",
-            crate::registry::fmt_duration(self.cutoff)
-        )
     }
 
     fn mean_depth(&self, now: SimTime) -> f64 {
@@ -650,13 +628,14 @@ mod tests {
 
     #[test]
     fn labels_distinct_and_parameterized() {
-        assert_ne!(Fcfs::new().label(), ShortestRemaining::new().label());
+        use crate::PolicySpec;
+        assert_ne!(PolicySpec::FCFS.to_string(), PolicySpec::SRF.to_string());
         assert_eq!(
-            ClassPriority::new(SimDuration::from_micros(10)).label(),
+            PolicySpec::class_priority(SimDuration::from_micros(10)).to_string(),
             "class-priority:cutoff=10us"
         );
         assert_eq!(
-            ClassPriority::new(SimDuration::from_micros(50)).label(),
+            PolicySpec::class_priority(SimDuration::from_micros(50)).to_string(),
             "class-priority:cutoff=50us",
             "parameterized policies must not collapse to one label"
         );
@@ -673,8 +652,6 @@ mod tests {
         let views = [WorkerView {
             worker: 2,
             outstanding: 0,
-            last_req: None,
-            idle_since: Some(SimTime::ZERO),
             health: crate::WorkerHealth::Healthy,
         }];
         let pick = q.pick_next(us(1), &views).unwrap();

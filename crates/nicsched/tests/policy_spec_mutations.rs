@@ -2,7 +2,8 @@
 //! truncated, with characters replaced, inserted and deleted, and with
 //! parameter values swapped for hostile ones (overflowing integers, zero,
 //! unknown units, non-ASCII). Every mutant must come back `Ok` or `Err` —
-//! a panic fails the test — and an accepted spec must build.
+//! a panic fails the test — and an accepted spec must build and survive
+//! a round trip through its canonical spelling.
 
 use nicsched::PolicySpec;
 
@@ -38,6 +39,7 @@ const SEEDS: &[&str] = &[
     "edf:deadline=50us",
     "edf:deadline=50us,stretch=2",
     "wfq:w=4,1,1",
+    "wfq:w=1,2,3,4,5,6,7,8",
     "class-priority:cutoff=10us",
 ];
 
@@ -104,6 +106,17 @@ fn mutated_policy_specs_never_panic_the_parser() {
         match PolicySpec::parse(&spec) {
             Ok(parsed) => {
                 let _ = parsed.build();
+                let canonical = parsed.to_string();
+                assert_eq!(
+                    PolicySpec::parse(&canonical),
+                    Ok(parsed),
+                    "`{spec}` spelled `{canonical}`"
+                );
+                assert_eq!(
+                    PolicySpec::parse(&canonical).unwrap().to_string(),
+                    canonical,
+                    "canonical spelling is a fixed point"
+                );
                 ok += 1;
             }
             Err(_) => err += 1,
@@ -111,4 +124,12 @@ fn mutated_policy_specs_never_panic_the_parser() {
     }
     assert!(err > 1_000, "mutations must bite: {err} rejected");
     assert!(ok > 100, "some mutants stay valid: {ok} accepted");
+}
+
+#[test]
+fn wfq_takes_at_most_eight_weights() {
+    assert_eq!(nicsched::MAX_WFQ_LANES, 8);
+    let eight = PolicySpec::parse("wfq:w=8,7,6,5,4,3,2,1").expect("8 weights");
+    assert_eq!(eight.to_string(), "wfq:w=8,7,6,5,4,3,2,1");
+    assert!(PolicySpec::parse("wfq:w=9,8,7,6,5,4,3,2,1").is_err());
 }

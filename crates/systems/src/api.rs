@@ -340,8 +340,8 @@ mod tests {
     #[test]
     fn equivalent_spec_strings_run_identically() {
         // Distinct spellings of the same policy (defaults spelled out,
-        // durations in different units) are different interned handles
-        // but must drive bit-identical runs through the registry.
+        // durations in different units) parse to equal specs and drive
+        // bit-identical runs.
         let pairs = [
             ("srpt", "srpt:gain=8,boost=200,floor=1us"),
             ("edf:deadline=50us", "edf:deadline=50000ns"),
@@ -353,6 +353,7 @@ mod tests {
         for (a_str, b_str) in pairs {
             let a_spec = PolicySpec::parse(a_str).expect("valid spec");
             let b_spec = PolicySpec::parse(b_str).expect("valid spec");
+            assert_eq!(a_spec, b_spec, "{a_str} vs {b_str}: specs must match");
             let mut cfg = ShinjukuConfig::paper(4);
             cfg.policy = a_spec;
             let a = cfg.run(quick_spec(), ProbeConfig::disabled());
@@ -360,8 +361,7 @@ mod tests {
             let b = cfg.run(quick_spec(), ProbeConfig::disabled());
             assert_eq!(a, b, "{a_str} vs {b_str}: runs must match");
         }
-        // The same spelling (modulo whitespace) interns to the same
-        // `Copy` handle, so configs compare equal.
+        // Whitespace around a spec does not change it either.
         assert_eq!(
             PolicySpec::parse("fcfs").unwrap(),
             PolicySpec::parse(" fcfs ").unwrap()

@@ -97,7 +97,7 @@ pub struct MultiShinjukuConfig {
     pub workers_per_group: usize,
     /// Preemption time slice; `None` disables preemption.
     pub time_slice: Option<SimDuration>,
-    /// Queue policy within each group (a registry spec).
+    /// Queue policy within each group (a policy spec).
     pub policy: PolicySpec,
 }
 

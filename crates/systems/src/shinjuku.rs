@@ -19,7 +19,7 @@ pub struct ShinjukuConfig {
     pub workers: usize,
     /// Preemption time slice; `None` disables preemption.
     pub time_slice: Option<SimDuration>,
-    /// Centralized queue policy (FCFS in the original system); a registry
+    /// Centralized queue policy (FCFS in the original system); a policy
     /// spec such as `PolicySpec::parse("srpt")`.
     pub policy: PolicySpec,
 }
