@@ -65,8 +65,7 @@ pub fn multi_dispatcher(scale: Scale) -> Vec<MultiDispatchRow> {
             time_slice: None,
             ..MultiShinjukuConfig::split(32, groups)
         };
-        let out =
-            multi_shinjuku::run_probed(spec(scale, offered, dist), cfg, ProbeConfig::disabled());
+        let out = multi_shinjuku::run_with_imbalance(spec(scale, offered, dist), cfg);
         MultiDispatchRow {
             groups,
             workers_per_group: cfg.workers_per_group,

@@ -184,16 +184,21 @@ pub const TABLE: &[RuleSpec] = &[
         name: "hook-conformance",
         scope: "model crates, non-test code",
         fires_on: "an `impl SchedPolicy` leaning on default no-op failure \
-                   hooks, or a resilient assembly missing its wiring",
+                   hooks, or a resilient assembly or its runner missing its \
+                   wiring",
         detail: "SchedPolicy's `worker_down` / `worker_up` / `feedback` \
                  default to no-ops, so a policy can silently ignore failure \
                  signals and keep dispatching to dead workers. Every impl \
                  must define all three — an explicit empty body documents \
-                 the decision — or carry a waiver saying why not. Files \
-                 assembling a resilient system (`fn run_resilient_probed`) \
-                 must also wire invariant checking (`checker_for` + \
-                 `close_invariants`) and a failure-detection entry point \
-                 (`check_health` / heartbeat), or waive the gap.",
+                 the decision — or carry a waiver saying why not. A file \
+                 with an `impl Assembly` must wire a failure-detection \
+                 entry point (`check_health`, or the shared `lease_tick`), \
+                 and the generic runner (a `fn` whose signature names \
+                 `Assembly`) must itself call `checker_for` and \
+                 `close_invariants`. Files defining a standalone resilient \
+                 entry point (`fn run_resilient_probed`) must wire both \
+                 invariant checking and a detection entry point \
+                 (`check_health` / heartbeat). Waive a gap with a reason.",
         waivable: true,
     },
     RuleSpec {

@@ -27,6 +27,11 @@ const INVARIANT_WIRING: &[&str] = &["checker_for", "close_invariants"];
 /// Identifiers proving a resilient assembly wired failure detection.
 const DETECTION_WIRING: &[&str] = &["check_health", "on_heartbeat", "heartbeat"];
 
+/// Identifiers proving an `impl Assembly` wired failure detection: the
+/// dispatcher's health sweep, called directly or through the shared lease
+/// tick.
+const ASSEMBLY_DETECTION: &[&str] = &["check_health", "lease_tick"];
+
 /// Type identifiers that make a `static` interior-mutable.
 pub(crate) const INTERIOR_MUTABLE: &[&str] = &[
     "Mutex",
@@ -41,11 +46,25 @@ pub(crate) const INTERIOR_MUTABLE: &[&str] = &[
 ];
 
 /// Hook-conformance: `impl SchedPolicy` blocks leaning on default no-op
-/// failure hooks, and resilient assemblies missing invariant/recovery
-/// wiring.
+/// failure hooks, and resilient assemblies and their runner missing
+/// invariant/recovery wiring.
 pub fn hook_conformance(toks: &[Token], items: &FileItems) -> Vec<Candidate> {
     let mut out = Vec::new();
+    let file_idents: BTreeSet<&str> = toks.iter().filter_map(|t| t.kind.ident()).collect();
     for im in &items.impls {
+        if im.trait_name.as_deref() == Some("Assembly")
+            && !ASSEMBLY_DETECTION.iter().any(|d| file_idents.contains(d))
+        {
+            out.push((
+                im.line,
+                format!(
+                    "impl Assembly for `{}` does not wire a failure-detection \
+                     entry point (`check_health` / `lease_tick`); its runs \
+                     cannot notice worker death",
+                    im.type_name
+                ),
+            ));
+        }
         if im.trait_name.as_deref() != Some("SchedPolicy") {
             continue;
         }
@@ -67,9 +86,37 @@ pub fn hook_conformance(toks: &[Token], items: &FileItems) -> Vec<Candidate> {
             ));
         }
     }
+    // The generic runner (a `fn` whose signature names `Assembly`) must
+    // arm and close the invariant checker in its own body: every
+    // assembly's run goes through it.
+    for f in &items.fns {
+        let sig = &toks[f.sig.0..f.sig.1];
+        if !sig.iter().any(|t| t.kind.ident() == Some("Assembly")) {
+            continue;
+        }
+        let body: BTreeSet<&str> = toks[f.body.0..f.body.1]
+            .iter()
+            .filter_map(|t| t.kind.ident())
+            .collect();
+        let gaps: Vec<String> = INVARIANT_WIRING
+            .iter()
+            .filter(|need| !body.contains(*need))
+            .map(|need| format!("`{need}`"))
+            .collect();
+        if !gaps.is_empty() {
+            out.push((
+                f.line,
+                format!(
+                    "assembly runner `{}` does not call {}; no run would \
+                     be audited for divergence",
+                    f.name,
+                    gaps.join(", ")
+                ),
+            ));
+        }
+    }
     // A file assembling a resilient system must wire invariants and a
     // failure-detection entry point somewhere in the file.
-    let file_idents: BTreeSet<&str> = toks.iter().filter_map(|t| t.kind.ident()).collect();
     for f in &items.fns {
         if f.name != "run_resilient_probed" {
             continue;
@@ -318,6 +365,49 @@ fn run_resilient_probed(cfg: &Config) -> Summary {
 }
 ";
         let (toks, items) = over(src);
+        assert!(hook_conformance(&toks, &items).is_empty());
+    }
+
+    #[test]
+    fn unwired_assembly_impl_fires_and_wired_ones_do_not() {
+        let bare = "\
+impl Assembly for Bare {
+    fn build(spec: Spec) -> Bare { Bare::new(spec) }
+}
+";
+        let (toks, items) = over(bare);
+        let out = hook_conformance(&toks, &items);
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert!(out[0].1.contains("`Bare`"), "{}", out[0].1);
+        for wiring in [
+            "self.liveness.lease_tick(ctx)",
+            "self.dispatcher.check_health(now)",
+        ] {
+            let src = format!("impl Assembly for Wired {{}}\nfn tick() {{ {wiring}; }}\n");
+            let (toks, items) = over(&src);
+            assert!(hook_conformance(&toks, &items).is_empty(), "{wiring}");
+        }
+    }
+
+    #[test]
+    fn runner_must_close_invariants_in_its_own_body() {
+        // Helpers defined beside the runner do not count: the runner
+        // itself must call them.
+        let src = "\
+fn checker_for(res: &Res) -> Checker { Checker::new(res) }
+fn close_invariants(inv: Checker) {}
+fn run<A: Assembly>(cfg: &A::Config) -> Metrics {
+    let inv = checker_for(cfg);
+    A::build(cfg).run()
+}
+";
+        let (toks, items) = over(src);
+        let out = hook_conformance(&toks, &items);
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert_eq!(out[0].0, 3);
+        assert!(out[0].1.contains("`close_invariants`"), "{}", out[0].1);
+        let wired = src.replace("A::build(cfg).run()", "close_invariants(inv)");
+        let (toks, items) = over(&wired);
         assert!(hook_conformance(&toks, &items).is_empty());
     }
 

@@ -22,11 +22,11 @@
 use sim_core::ProbeConfig;
 use workload::{RunMetrics, WorkloadSpec};
 
-use crate::baseline::BaselineConfig;
-use crate::common::ResilienceConfig;
-use crate::multi_shinjuku::MultiShinjukuConfig;
-use crate::offload::OffloadConfig;
-use crate::rpcvalet::RpcValetConfig;
+use crate::baseline::{Baseline, BaselineConfig};
+use crate::common::{run, ResilienceConfig};
+use crate::multi_shinjuku::{MultiShinjuku, MultiShinjukuConfig};
+use crate::offload::{Offload, OffloadConfig};
+use crate::rpcvalet::{RpcValet, RpcValetConfig};
 use crate::shinjuku::ShinjukuConfig;
 
 /// A complete simulated server that can execute a workload.
@@ -74,7 +74,7 @@ impl ServerSystem for OffloadConfig {
         probe: ProbeConfig,
         res: ResilienceConfig,
     ) -> RunMetrics {
-        crate::offload::run_resilient_probed(spec, *self, probe, res)
+        run::<Offload>(spec, self, probe, res).0
     }
 }
 
@@ -97,7 +97,7 @@ impl ServerSystem for ShinjukuConfig {
             time_slice: self.time_slice,
             policy: self.policy,
         };
-        crate::multi_shinjuku::run_model(spec, cfg, probe, res).metrics
+        run::<MultiShinjuku>(spec, &cfg, probe, res).0
     }
 }
 
@@ -117,7 +117,7 @@ impl ServerSystem for BaselineConfig {
         probe: ProbeConfig,
         res: ResilienceConfig,
     ) -> RunMetrics {
-        crate::baseline::run_resilient_probed(spec, *self, probe, res)
+        run::<Baseline>(spec, self, probe, res).0
     }
 }
 
@@ -132,7 +132,7 @@ impl ServerSystem for RpcValetConfig {
         probe: ProbeConfig,
         res: ResilienceConfig,
     ) -> RunMetrics {
-        crate::rpcvalet::run_resilient_probed(spec, *self, probe, res)
+        run::<RpcValet>(spec, self, probe, res).0
     }
 }
 
@@ -141,13 +141,18 @@ impl ServerSystem for MultiShinjukuConfig {
         "multi-shinjuku"
     }
 
+    /// The staleness-fallback settings in `res` are ignored: each group's
+    /// dispatcher sits one queue hop from its private workers, so there is
+    /// no cross-group feedback to go stale — the RSS spray across groups
+    /// already *is* the uninformed fallback.
     fn run_resilient(
         &self,
         spec: WorkloadSpec,
         probe: ProbeConfig,
-        res: ResilienceConfig,
+        mut res: ResilienceConfig,
     ) -> RunMetrics {
-        crate::multi_shinjuku::run_resilient_probed(spec, *self, probe, res).metrics
+        res.fallback = None;
+        run::<MultiShinjuku>(spec, self, probe, res).0
     }
 }
 
@@ -323,18 +328,6 @@ mod tests {
         dedup.sort_unstable();
         dedup.dedup();
         assert_eq!(dedup.len(), names.len(), "{names:?}");
-    }
-
-    #[test]
-    fn free_functions_match_the_trait() {
-        let spec = quick_spec();
-        let cfg = OffloadConfig::paper(4, 4);
-        let free = crate::offload::run_probed(spec, cfg, ProbeConfig::disabled());
-        let trait_run = cfg.run(spec, ProbeConfig::disabled());
-        assert_eq!(
-            free, trait_run,
-            "free function and trait must agree exactly"
-        );
     }
 
     #[test]

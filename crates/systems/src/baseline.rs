@@ -17,20 +17,21 @@
 
 use bytes::Bytes;
 use cpu_model::{ContextCosts, ContextPool, Core, CoreId, CoreSpec};
-use net_wire::{FrameSpec, MsgKind, MsgRepr, ParsedFrame};
-use nic_model::{FlowDirector, FlowKey, IfaceId, Link, NicDevice, QueueSteering, Rss};
+use net_wire::{MsgKind, MsgRepr, ParsedFrame};
+use nic_model::{FlowDirector, FlowKey, IfaceId, NicDevice, QueueSteering, Rss};
 use nicsched::params;
-use sim_core::{Ctx, Engine, FaultPlan, Model, Probe, ProbeConfig, Rng, SimDuration, SimTime};
+use sim_core::{Ctx, Model, ProbeConfig, SimDuration, SimTime};
 use workload::{RunMetrics, WorkloadSpec};
 
 use crate::common::{
-    assemble_metrics, scale_duration, AddressPlan, Client, ResilienceConfig, TimeoutOutcome,
-    FAULT_SEED_SALT,
+    mean_utilization, run, start_check, stretched, AddressPlan, Assembly, ClientEv, FrontEnd,
+    FrontKeys, ResilienceConfig,
 };
 
 // Every probe name this assembly records, registered once per run.
 sim_core::probe_keys! {
     mod key {
+        CLIENT_NACKS = "client.nacks",
         CLIENT_RESPONSES = "client.responses",
         CLIENT_RETRIES = "client.retries",
         CLIENT_SENT = "client.sent",
@@ -49,6 +50,9 @@ sim_core::probe_keys! {
         WORKER_STRANDED = "worker.stranded",
     }
 }
+
+/// The client front end's keys in this assembly's probe-name table.
+const FRONT_KEYS: FrontKeys = FrontKeys::new(key::NAMES, key::PATH_3_RESPONSE);
 
 /// Elastic-RSS controller period: "provisions cores for applications on
 /// the us scale" (§5.1(1)).
@@ -79,19 +83,13 @@ pub struct BaselineConfig {
     pub kind: BaselineKind,
 }
 
-enum Ev {
-    ClientSend,
-    WireToNic(Bytes),
+pub(crate) enum Ev {
+    /// The client and its wires; a request frame reaches the NIC.
+    Client(ClientEv),
     WorkerPoll(usize),
     WorkerRunEnd(usize),
-    ClientResp(Bytes),
     /// Elastic-RSS controller tick: re-provision the active core set.
     ErssTick,
-    /// A client retransmit timer fires for one attempt of one request.
-    ClientTimeout {
-        req_id: u64,
-        attempt: u32,
-    },
 }
 
 struct Worker {
@@ -101,20 +99,15 @@ struct Worker {
     idle_since: Option<SimTime>,
 }
 
-struct Baseline {
+pub(crate) struct Baseline {
     cfg: BaselineConfig,
-    client: Client,
-    horizon: SimTime,
-    client_link: Link,
-    server_link: Link,
+    front: FrontEnd<Ev>,
     nic: NicDevice,
     iface: IfaceId,
     workers: Vec<Worker>,
     ctx_pool: ContextPool,
     ctx_costs: ContextCosts,
     host: CoreSpec,
-    /// Successful steals (ZygOS mode).
-    steals: u64,
     /// The message each busy worker is executing.
     pending: Vec<Option<MsgRepr>>,
     /// Elastic RSS: currently provisioned cores (prefix of the worker set).
@@ -123,27 +116,192 @@ struct Baseline {
     last_busy: Vec<SimDuration>,
     /// Elastic RSS: time-weighted active-core count.
     active_tw: sim_core::stats::TimeWeighted,
-
-    req_lost: u64,
-    resp_lost: u64,
+    /// Work that died with a crashed worker (running or steered to it).
     stranded: u64,
 }
 
 impl Baseline {
-    fn new(spec: WorkloadSpec, cfg: BaselineConfig, res: ResilienceConfig) -> Baseline {
-        let mut master = Rng::new(spec.seed);
-        let mut client = Client::new(spec, &mut master);
-        if let Some(policy) = res.retry {
-            client.enable_retries(policy);
+    /// Elastic-RSS controller (§5.1(1)): observe utilization of the active
+    /// cores over the last window and grow/shrink the provisioned set,
+    /// then rewrite the indirection table — the operation a programmable
+    /// NIC performs in hardware.
+    fn erss_tick(&mut self, ctx: &mut Ctx<'_, Ev>) {
+        let now = ctx.now();
+        let window = ERSS_INTERVAL.as_secs_f64();
+        let mut busy = 0.0;
+        for (w, last) in self.last_busy.iter_mut().enumerate() {
+            let total = self.workers[w].core.busy_time(now);
+            busy += (total - *last).as_secs_f64();
+            *last = total;
         }
-        let (client_link, server_link) = if res.faults.wire_loss > 0.0 {
-            (
-                Link::ten_gbe().with_loss(res.faults.wire_loss, master.fork()),
-                Link::ten_gbe().with_loss(res.faults.wire_loss, master.fork()),
-            )
-        } else {
-            (Link::ten_gbe(), Link::ten_gbe())
+        let util = busy / (window * self.active as f64);
+        if util > 0.70 && self.active < self.cfg.workers {
+            self.active += 1;
+        } else if util < 0.35 && self.active > 1 {
+            self.active -= 1;
+        }
+        self.active_tw.set(now, self.active as f64);
+        let table: Vec<u32> = (0..128).map(|i| i % self.active as u32).collect();
+        if let QueueSteering::Rss(rss) = &mut self.nic.iface_mut(self.iface).steering {
+            rss.set_table(table);
+        }
+        if now < self.front.horizon {
+            ctx.schedule_in(ERSS_INTERVAL, Ev::ErssTick);
+        }
+    }
+
+    /// Pop work for worker `w`: own queue first, then (if stealing) the
+    /// longest peer queue. Returns the frame and the steal overhead.
+    fn take_work(&mut self, w: usize) -> Option<(Bytes, SimDuration)> {
+        let iface = self.nic.iface_mut(self.iface);
+        if let Some(frame) = iface.rx[w].pop() {
+            return Some((frame.data, SimDuration::ZERO));
+        }
+        if self.cfg.kind != BaselineKind::RssStealing {
+            return None;
+        }
+        // Steal from the longest peer queue.
+        let victim = (0..iface.rx.len())
+            .filter(|&q| q != w && !iface.rx[q].is_empty())
+            .max_by_key(|&q| iface.rx[q].len())?;
+        let frame = iface.rx[victim].pop()?;
+        Some((frame.data, params::WORK_STEAL_COST))
+    }
+
+    fn worker_poll(&mut self, w: usize, ctx: &mut Ctx<'_, Ev>) {
+        if self.workers[w].busy || start_check(ctx, w, Ev::WorkerPoll(w)).is_some() {
+            return;
+        }
+        let Some((data, steal_cost)) = self.take_work(w) else {
+            self.workers[w].core.set_idle(ctx.now());
+            ctx.probe().busy_i(key::WORKER, w, false);
+            self.workers[w].idle_since.get_or_insert(ctx.now());
+            return;
         };
+        if steal_cost > SimDuration::ZERO {
+            ctx.probe().count(key::WORKER_STEALS);
+        }
+        let Ok(parsed) = ParsedFrame::parse(&data) else {
+            ctx.schedule_now(Ev::WorkerPoll(w));
+            return;
+        };
+        if parsed.msg.kind != MsgKind::Request {
+            ctx.schedule_now(Ev::WorkerPoll(w));
+            return;
+        }
+        let msg = parsed.msg;
+        if let Some(idle_at) = self.workers[w].idle_since.take() {
+            let gap = ctx.now().saturating_duration_since(idle_at);
+            ctx.probe().hop(key::WORKER_IDLE_GAP, gap);
+        }
+        ctx.probe().mark(msg.req_id, key::PATH_1_WORKER_START);
+        ctx.probe().busy_i(key::WORKER, w, true);
+        // Run-to-completion: the worker is its own networking subsystem.
+        let overhead = steal_cost
+            + params::HOST_NET_PER_PACKET
+            + ContextPool::op_cost(self.ctx_pool.begin(msg.req_id), &self.ctx_costs, &self.host);
+        let service = SimDuration::from_nanos(msg.service_ns);
+        // A slowdown window stretches wall time for this execution.
+        let wall = stretched(ctx, w, overhead + service);
+        let worker = &mut self.workers[w];
+        worker.busy = true;
+        worker.core.set_busy(ctx.now());
+        // Stash the response identity in the event via a rebuilt frame at
+        // completion time; carry the parsed message through worker state
+        // instead of re-parsing.
+        self.pending[w] = Some(msg);
+        ctx.schedule_in(wall, Ev::WorkerRunEnd(w));
+    }
+
+    fn finish(&mut self, w: usize, ctx: &mut Ctx<'_, Ev>) {
+        let msg = self.pending[w].take().expect("worker had work");
+        let now = ctx.now();
+        if ctx.faults().worker_crashed(w, now) {
+            // Died mid-request: no response ever leaves this core.
+            self.ctx_pool.discard(msg.req_id);
+            self.stranded += 1;
+            ctx.probe().count(key::WORKER_STRANDED);
+            return;
+        }
+        ctx.probe().count(key::WORKER_COMPLETED);
+        ctx.probe().mark(msg.req_id, key::PATH_2_WORKER_DONE);
+        let resp = AddressPlan::to_client(
+            AddressPlan::dispatcher_mac(),
+            AddressPlan::worker_ep(w),
+            msg.response(),
+        );
+        let built = ctx.now() + params::WORKER_TX_COST;
+        let depart = built + self.nic.dma_latency;
+        self.front.send_response(&resp, depart, ctx);
+        self.ctx_pool.discard(msg.req_id);
+        self.workers[w].busy = false;
+        ctx.schedule_at(built, Ev::WorkerPoll(w));
+    }
+}
+
+impl Model for Baseline {
+    type Event = Ev;
+
+    fn check_invariants(&self, now: SimTime, inv: &mut sim_core::InvariantChecker) {
+        self.nic.check_invariants(now, inv);
+        self.front.client.check_invariants(now, inv);
+    }
+
+    fn handle(&mut self, event: Ev, ctx: &mut Ctx<'_, Ev>) {
+        match event {
+            Ev::Client(ev) => {
+                let Some((bytes, parsed)) = self.front.handle(ev, ctx) else {
+                    return;
+                };
+                if let Some(d) = self.nic.steer(&parsed) {
+                    ctx.probe().count(key::NIC_RX_FRAMES);
+                    let now = ctx.now();
+                    if self.cfg.kind != BaselineKind::RssStealing
+                        && ctx.faults().worker_crashed(d.queue, now)
+                    {
+                        // Hash-steered to a dead core with nobody to steal
+                        // it: the request is stranded in silicon.
+                        self.stranded += 1;
+                        ctx.probe().count(key::WORKER_STRANDED);
+                        return;
+                    }
+                    self.nic.iface_mut(d.iface).rx[d.queue].push(ctx.now(), bytes);
+                    let depth = self.nic.iface(d.iface).rx[d.queue].len();
+                    ctx.probe().depth_i(key::WORKER_RING, d.queue, depth);
+                    if !self.workers[d.queue].busy {
+                        ctx.schedule_now(Ev::WorkerPoll(d.queue));
+                    } else if self.cfg.kind == BaselineKind::RssStealing {
+                        // Any idle worker may steal the new arrival.
+                        if let Some(idle) = (0..self.workers.len()).find(|&i| !self.workers[i].busy)
+                        {
+                            ctx.schedule_now(Ev::WorkerPoll(idle));
+                        }
+                    }
+                }
+            }
+            Ev::WorkerPoll(w) => self.worker_poll(w, ctx),
+            Ev::WorkerRunEnd(w) => self.finish(w, ctx),
+            Ev::ErssTick => self.erss_tick(ctx),
+        }
+    }
+}
+
+// Baselines have no central dispatcher: admission and staleness-fallback
+// settings in `res` are ignored (their per-worker rings already tail-drop,
+// and hash steering is the fallback the governor would degrade *to*).
+// NIC-side recovery (`res.recovery`) is likewise a no-op: with no
+// dispatcher there is no lease table to expire and no central queue to
+// re-dispatch from, so orphaned requests are recovered only by client
+// retries, which is exactly the contrast the `recovery` experiment
+// measures.
+// simlint: allow(hook-conformance, reason=baselines have no dispatcher, so there is no lease table or detector to wire; recovery here is a documented no-op)
+impl Assembly for Baseline {
+    type Config = BaselineConfig;
+    const PROBE_NAMES: &'static [&'static str] = key::NAMES;
+
+    fn build(spec: WorkloadSpec, cfg: &BaselineConfig, res: ResilienceConfig) -> Baseline {
+        let cfg = *cfg;
+        let front = FrontEnd::new(spec, &res, None, FRONT_KEYS, Ev::Client);
 
         let steering = match cfg.kind {
             BaselineKind::Rss | BaselineKind::RssStealing | BaselineKind::ElasticRss => {
@@ -183,381 +341,54 @@ impl Baseline {
 
         Baseline {
             cfg,
-            horizon: spec.horizon(),
-            client,
-            client_link,
-            server_link,
+            front,
             nic,
             iface,
             workers,
             ctx_pool: ContextPool::new(),
             ctx_costs: ContextCosts::default(),
             host: CoreSpec::host_x86(),
-            steals: 0,
             pending: vec![None; cfg.workers],
             active: cfg.workers,
             last_busy: vec![SimDuration::ZERO; cfg.workers],
             active_tw: sim_core::stats::TimeWeighted::new(t0, cfg.workers as f64),
-            req_lost: 0,
-            resp_lost: 0,
             stranded: 0,
         }
     }
 
-    /// Transmit a client→NIC frame over the (possibly lossy) request wire.
-    fn send_request(&mut self, spec: &FrameSpec, ctx: &mut Ctx<'_, Ev>) {
-        let payload_len = spec.frame_len() - net_wire::ethernet::HEADER_LEN;
-        let bytes = spec.build();
-        let now = ctx.now();
-        if ctx.faults().burst_frame_lost(now) {
-            self.req_lost += 1;
-            ctx.probe().count(key::WIRE_REQ_LOST);
-            return;
-        }
-        match self.client_link.transmit_lossy(now, payload_len) {
-            Some(arrive) => ctx.schedule_at(arrive, Ev::WireToNic(bytes)),
-            None => {
-                self.req_lost += 1;
-                ctx.probe().count(key::WIRE_REQ_LOST);
-            }
+    fn front(&self) -> &FrontEnd<Ev> {
+        &self.front
+    }
+
+    fn startup(&self) -> Vec<(SimTime, Ev)> {
+        match self.cfg.kind {
+            BaselineKind::ElasticRss => vec![(SimTime::ZERO + ERSS_INTERVAL, Ev::ErssTick)],
+            _ => Vec::new(),
         }
     }
 
-    /// Transmit a server→client response starting at `depart`.
-    fn send_response(&mut self, spec: &FrameSpec, depart: SimTime, ctx: &mut Ctx<'_, Ev>) {
-        let payload_len = spec.frame_len() - net_wire::ethernet::HEADER_LEN;
-        let bytes = spec.build();
-        if ctx.faults().burst_frame_lost(depart) {
-            self.resp_lost += 1;
-            ctx.probe().count(key::WIRE_RESP_LOST);
-            return;
-        }
-        match self.server_link.transmit_lossy(depart, payload_len) {
-            Some(arrive) => ctx.schedule_at(arrive, Ev::ClientResp(bytes)),
-            None => {
-                self.resp_lost += 1;
-                ctx.probe().count(key::WIRE_RESP_LOST);
-            }
-        }
-    }
-
-    /// Elastic-RSS controller (§5.1(1)): observe utilization of the active
-    /// cores over the last window and grow/shrink the provisioned set,
-    /// then rewrite the indirection table — the operation a programmable
-    /// NIC performs in hardware.
-    fn erss_tick(&mut self, ctx: &mut Ctx<'_, Ev>) {
-        let now = ctx.now();
-        let window = ERSS_INTERVAL.as_secs_f64();
-        let mut busy = 0.0;
-        for (w, last) in self.last_busy.iter_mut().enumerate() {
-            let total = self.workers[w].core.busy_time(now);
-            busy += (total - *last).as_secs_f64();
-            *last = total;
-        }
-        let util = busy / (window * self.active as f64);
-        if util > 0.70 && self.active < self.cfg.workers {
-            self.active += 1;
-        } else if util < 0.35 && self.active > 1 {
-            self.active -= 1;
-        }
-        self.active_tw.set(now, self.active as f64);
-        let table: Vec<u32> = (0..128).map(|i| i % self.active as u32).collect();
-        if let QueueSteering::Rss(rss) = &mut self.nic.iface_mut(self.iface).steering {
-            rss.set_table(table);
-        }
-        if now < self.horizon {
-            ctx.schedule_in(ERSS_INTERVAL, Ev::ErssTick);
-        }
-    }
-
-    /// Pop work for worker `w`: own queue first, then (if stealing) the
-    /// longest peer queue. Returns the frame and the steal overhead.
-    fn take_work(&mut self, w: usize) -> Option<(Bytes, SimDuration)> {
-        let iface = self.nic.iface_mut(self.iface);
-        if let Some(frame) = iface.rx[w].pop() {
-            return Some((frame.data, SimDuration::ZERO));
-        }
-        if self.cfg.kind != BaselineKind::RssStealing {
-            return None;
-        }
-        // Steal from the longest peer queue.
-        let victim = (0..iface.rx.len())
-            .filter(|&q| q != w && !iface.rx[q].is_empty())
-            .max_by_key(|&q| iface.rx[q].len())?;
-        let frame = iface.rx[victim].pop()?;
-        self.steals += 1;
-        Some((frame.data, params::WORK_STEAL_COST))
-    }
-
-    fn worker_poll(&mut self, w: usize, ctx: &mut Ctx<'_, Ev>) {
-        if self.workers[w].busy {
-            return;
-        }
-        let now = ctx.now();
-        if ctx.faults().worker_crashed(w, now) {
-            return; // dead cores never poll again
-        }
-        if let Some(resume) = ctx.faults().worker_stalled_until(w, now) {
-            ctx.schedule_at(resume, Ev::WorkerPoll(w));
-            return;
-        }
-        let Some((data, steal_cost)) = self.take_work(w) else {
-            self.workers[w].core.set_idle(ctx.now());
-            ctx.probe().busy_i(key::WORKER, w, false);
-            if self.workers[w].idle_since.is_none() {
-                self.workers[w].idle_since = Some(ctx.now());
-            }
-            return;
-        };
-        if steal_cost > SimDuration::ZERO {
-            ctx.probe().count(key::WORKER_STEALS);
-        }
-        let Ok(parsed) = ParsedFrame::parse(&data) else {
-            ctx.schedule_now(Ev::WorkerPoll(w));
-            return;
-        };
-        if parsed.msg.kind != MsgKind::Request {
-            ctx.schedule_now(Ev::WorkerPoll(w));
-            return;
-        }
-        let msg = parsed.msg;
-        if let Some(idle_at) = self.workers[w].idle_since.take() {
-            let gap = ctx.now().saturating_duration_since(idle_at);
-            ctx.probe().hop(key::WORKER_IDLE_GAP, gap);
-        }
-        ctx.probe().mark(msg.req_id, key::PATH_1_WORKER_START);
-        ctx.probe().busy_i(key::WORKER, w, true);
-        // Run-to-completion: the worker is its own networking subsystem.
-        let overhead = steal_cost
-            + params::HOST_NET_PER_PACKET
-            + ContextPool::op_cost(self.ctx_pool.begin(msg.req_id), &self.ctx_costs, &self.host);
-        let service = SimDuration::from_nanos(msg.service_ns);
-        // A slowdown window stretches wall time for this execution.
-        let slow = {
-            let now = ctx.now();
-            ctx.faults().worker_slowdown(w, now)
-        };
-        let wall = if slow > 1.0 {
-            scale_duration(overhead + service, slow)
-        } else {
-            overhead + service
-        };
-        let worker = &mut self.workers[w];
-        worker.busy = true;
-        worker.core.set_busy(ctx.now());
-        // Stash the response identity in the event via a rebuilt frame at
-        // completion time; carry the parsed message through worker state
-        // instead of re-parsing.
-        self.pending[w] = Some(msg);
-        ctx.schedule_in(wall, Ev::WorkerRunEnd(w));
+    fn ledger(&self, horizon: SimTime, m: &mut RunMetrics) {
+        m.worker_utilization = mean_utilization(self.workers.iter().map(|w| &w.core), horizon);
+        m.faults.ring_dropped = self.nic.total_drops();
+        m.faults.stranded = self.stranded;
     }
 }
 
-impl Baseline {
-    fn finish(&mut self, w: usize, ctx: &mut Ctx<'_, Ev>) {
-        let msg = self.pending[w].take().expect("worker had work");
-        {
-            let now = ctx.now();
-            if ctx.faults().worker_crashed(w, now) {
-                // Died mid-request: no response ever leaves this core.
-                self.ctx_pool.discard(msg.req_id);
-                self.stranded += 1;
-                ctx.probe().count(key::WORKER_STRANDED);
-                return;
-            }
-        }
-        ctx.probe().count(key::WORKER_COMPLETED);
-        ctx.probe().mark(msg.req_id, key::PATH_2_WORKER_DONE);
-        let resp = FrameSpec {
-            src_mac: AddressPlan::dispatcher_mac(),
-            dst_mac: AddressPlan::client_mac(),
-            src: AddressPlan::worker_ep(w),
-            dst: AddressPlan::client_ep(),
-            msg: MsgRepr {
-                kind: MsgKind::Response,
-                remaining_ns: 0,
-                ..msg
-            },
-        };
-        let built = ctx.now() + params::WORKER_TX_COST;
-        let depart = built + self.nic.dma_latency;
-        self.send_response(&resp, depart, ctx);
-        self.ctx_pool.discard(msg.req_id);
-        let worker = &mut self.workers[w];
-        worker.busy = false;
-        worker.core.requests_run += 1;
-        ctx.schedule_at(built, Ev::WorkerPoll(w));
-    }
-}
-
-impl Model for Baseline {
-    type Event = Ev;
-
-    fn check_invariants(&self, now: SimTime, inv: &mut sim_core::InvariantChecker) {
-        self.nic.check_invariants(now, inv);
-        self.client.check_invariants(now, inv);
-    }
-
-    fn handle(&mut self, event: Ev, ctx: &mut Ctx<'_, Ev>) {
-        match event {
-            Ev::ClientSend => {
-                if ctx.now() >= self.horizon {
-                    return;
-                }
-                let spec = self.client.make_request(ctx.now());
-                let req_id = spec.msg.req_id;
-                ctx.probe().count(key::CLIENT_SENT);
-                ctx.probe().mark(req_id, key::PATH_0_CLIENT_SEND);
-                self.send_request(&spec, ctx);
-                if let Some((attempt, timeout)) = self.client.arm_timeout(req_id) {
-                    ctx.schedule_in(timeout, Ev::ClientTimeout { req_id, attempt });
-                }
-                let gap = self.client.next_gap();
-                ctx.schedule_in(gap, Ev::ClientSend);
-            }
-            Ev::WireToNic(bytes) => {
-                let Ok(parsed) = ParsedFrame::parse(&bytes) else {
-                    return;
-                };
-                if let Some(d) = self.nic.steer(&parsed) {
-                    ctx.probe().count(key::NIC_RX_FRAMES);
-                    let now = ctx.now();
-                    if self.cfg.kind != BaselineKind::RssStealing
-                        && ctx.faults().worker_crashed(d.queue, now)
-                    {
-                        // Hash-steered to a dead core with nobody to steal
-                        // it: the request is stranded in silicon.
-                        self.stranded += 1;
-                        ctx.probe().count(key::WORKER_STRANDED);
-                        return;
-                    }
-                    self.nic.iface_mut(d.iface).rx[d.queue].push(ctx.now(), bytes);
-                    let depth = self.nic.iface(d.iface).rx[d.queue].len();
-                    ctx.probe().depth_i(key::WORKER_RING, d.queue, depth);
-                    if !self.workers[d.queue].busy {
-                        ctx.schedule_now(Ev::WorkerPoll(d.queue));
-                    } else if self.cfg.kind == BaselineKind::RssStealing {
-                        // Any idle worker may steal the new arrival.
-                        if let Some(idle) = (0..self.workers.len()).find(|&i| !self.workers[i].busy)
-                        {
-                            ctx.schedule_now(Ev::WorkerPoll(idle));
-                        }
-                    }
-                }
-            }
-            Ev::WorkerPoll(w) => self.worker_poll(w, ctx),
-            Ev::WorkerRunEnd(w) => self.finish(w, ctx),
-            Ev::ErssTick => self.erss_tick(ctx),
-            Ev::ClientResp(bytes) => {
-                if let Ok(parsed) = ParsedFrame::parse(&bytes) {
-                    ctx.probe().count(key::CLIENT_RESPONSES);
-                    ctx.probe().finish(parsed.msg.req_id, key::PATH_3_RESPONSE);
-                    self.client.on_response(ctx.now(), &parsed);
-                }
-            }
-            Ev::ClientTimeout { req_id, attempt } => {
-                if let TimeoutOutcome::Retry {
-                    frame,
-                    attempt,
-                    timeout,
-                } = self.client.on_timeout(ctx.now(), req_id, attempt)
-                {
-                    ctx.probe().count(key::CLIENT_RETRIES);
-                    self.send_request(&frame, ctx);
-                    ctx.schedule_in(timeout, Ev::ClientTimeout { req_id, attempt });
-                }
-            }
-        }
-    }
-}
-
-/// Run a run-to-completion baseline with stage-level observability.
-pub fn run_probed(spec: WorkloadSpec, cfg: BaselineConfig, probe: ProbeConfig) -> RunMetrics {
-    run_with_elastic_probed(spec, cfg, probe).0
-}
-
-/// Run a baseline with fault injection and client retries. Baselines
-/// have no central dispatcher: admission and staleness-fallback settings
-/// in `res` are ignored (their per-worker rings already tail-drop, and
-/// hash steering is the fallback the governor would degrade *to*).
-/// NIC-side recovery (`res.recovery`) is likewise a no-op — with no
-/// dispatcher there is no lease table to expire and no central queue to
-/// re-dispatch from; orphaned requests here are recovered only by client
-/// retries, which is exactly the contrast the `recovery` experiment
-/// measures.
-// simlint: allow(hook-conformance, reason=baselines have no dispatcher, so there is no lease table or detector to wire; recovery here is a documented no-op)
-pub fn run_resilient_probed(
-    spec: WorkloadSpec,
-    cfg: BaselineConfig,
-    probe: ProbeConfig,
-    res: ResilienceConfig,
-) -> RunMetrics {
-    run_inner(spec, cfg, probe, res).0
-}
-
-/// Like [`run_probed`] (with probing disabled), also returning the
-/// time-weighted mean number of provisioned cores (equal to
-/// `cfg.workers` for the static kinds).
+/// Run a baseline without faults or probes, also returning the
+/// time-weighted mean number of provisioned cores (equal to `cfg.workers`
+/// for the static kinds).
 pub fn run_with_elastic(spec: WorkloadSpec, cfg: BaselineConfig) -> (RunMetrics, f64) {
-    run_with_elastic_probed(spec, cfg, ProbeConfig::disabled())
-}
-
-/// Full-fat entry point: observability plus the elastic-provisioning
-/// side channel.
-pub fn run_with_elastic_probed(
-    spec: WorkloadSpec,
-    cfg: BaselineConfig,
-    probe: ProbeConfig,
-) -> (RunMetrics, f64) {
-    run_inner(spec, cfg, probe, ResilienceConfig::default())
-}
-
-fn run_inner(
-    spec: WorkloadSpec,
-    cfg: BaselineConfig,
-    probe: ProbeConfig,
-    res: ResilienceConfig,
-) -> (RunMetrics, f64) {
-    let mut engine = Engine::new(Baseline::new(spec, cfg, res));
-    engine.set_probe(Probe::new(probe).register(key::NAMES));
-    engine.set_invariants(crate::common::checker_for(&res));
-    if res.is_active() {
-        engine.set_faults(FaultPlan::new(res.faults, spec.seed ^ FAULT_SEED_SALT));
-    }
-    engine.schedule_at(SimTime::ZERO, Ev::ClientSend);
-    if cfg.kind == BaselineKind::ElasticRss {
-        engine.schedule_at(SimTime::ZERO + ERSS_INTERVAL, Ev::ErssTick);
-    }
-    engine.run_until(spec.horizon());
-    let horizon = spec.horizon();
-    let model = engine.model();
-    let util = model
-        .workers
-        .iter()
-        .map(|w| w.core.utilization(horizon))
-        .sum::<f64>()
-        / model.workers.len() as f64;
-    let mean_active = model.active_tw.mean_until(horizon).max(1.0);
-    let ring_dropped = model.nic.total_drops();
-    let mut metrics = assemble_metrics(&model.client, ring_dropped, 0, util);
-    let fm = &mut metrics.faults;
-    fm.req_link_lost = model.req_lost;
-    fm.resp_link_lost = model.resp_lost;
-    fm.ring_dropped = ring_dropped;
-    fm.stranded = model.stranded;
-    metrics.dropped = ring_dropped + fm.link_lost();
-    if probe.enabled {
-        metrics.stages = Some(engine.probe_mut().report(horizon));
-    }
-    crate::common::close_invariants(engine.take_invariants(), horizon, &metrics);
-    (
-        metrics,
-        if cfg.kind == BaselineKind::ElasticRss {
-            mean_active
-        } else {
-            cfg.workers as f64
-        },
-    )
+    let (metrics, model) = run::<Baseline>(
+        spec,
+        &cfg,
+        ProbeConfig::disabled(),
+        ResilienceConfig::default(),
+    );
+    let active = match cfg.kind {
+        BaselineKind::ElasticRss => model.active_tw.mean_until(spec.horizon()).max(1.0),
+        _ => cfg.workers as f64,
+    };
+    (metrics, active)
 }
 
 #[cfg(test)]
@@ -567,7 +398,7 @@ mod tests {
     use workload::ServiceDist;
 
     fn run(spec: WorkloadSpec, cfg: BaselineConfig) -> RunMetrics {
-        run_probed(spec, cfg, ProbeConfig::disabled())
+        cfg.run(spec, ProbeConfig::disabled())
     }
 
     fn quick_spec(rps: f64, dist: ServiceDist) -> WorkloadSpec {
@@ -691,6 +522,7 @@ mod tests {
 #[cfg(test)]
 mod erss_tests {
     use super::*;
+    use crate::api::ServerSystem;
     use workload::ServiceDist;
 
     fn quick_spec(rps: f64) -> WorkloadSpec {
@@ -766,12 +598,7 @@ mod erss_tests {
         let spec = quick_spec(300_000.0);
         let res = ResilienceConfig::loss_and_crash(1, SimTime::ZERO + SimDuration::from_millis(10));
         let run = |kind| {
-            run_resilient_probed(
-                spec,
-                BaselineConfig { workers: 4, kind },
-                ProbeConfig::disabled(),
-                res,
-            )
+            BaselineConfig { workers: 4, kind }.run_resilient(spec, ProbeConfig::disabled(), res)
         };
         for kind in [BaselineKind::Rss, BaselineKind::RssStealing] {
             let m = run(kind);

@@ -1,16 +1,24 @@
 //! Plumbing shared by every system assembly: addressing conventions, the
-//! open-loop client (with its reliability layer), the resilience
-//! configuration every assembly accepts, the stale-feedback governor, and
-//! metric assembly.
+//! open-loop client (with its reliability layer) and the client front end
+//! that carries it over the wire, the resilience configuration every
+//! assembly accepts, the stale-feedback governor and lease heartbeat, the
+//! worker start checks, and the one runner behind [`crate::ServerSystem`].
 
 use std::collections::VecDeque;
 
-use net_wire::{Endpoint, EthernetAddress, FrameSpec, Ipv4Address, MsgRepr, ParsedFrame};
+use bytes::Bytes;
+use cpu_model::Core;
+use net_wire::{Endpoint, EthernetAddress, FrameSpec, Ipv4Address, MsgKind, MsgRepr, ParsedFrame};
+use nic_model::Link;
 use nicsched::{
-    AdmissionPolicy, CoreFeedback, CoreSelector, Dispatcher, FeedbackChannel, SchedPolicy,
+    AdmissionPolicy, Assignment, CoreFeedback, CoreSelector, Dispatcher, FeedbackChannel,
+    PreemptDecision, RecoveryPolicy, SchedPolicy, Task,
 };
 use sim_core::faults::FaultConfig;
-use sim_core::{InvariantChecker, InvariantConfig, Rng, SimDuration, SimTime};
+use sim_core::{
+    Ctx, Engine, FaultPlan, InvariantChecker, InvariantConfig, Model, Probe, ProbeConfig, ProbeKey,
+    Rng, SimDuration, SimTime,
+};
 use workload::{
     ArrivalGen, ArrivalProcess, FaultMetrics, LatencyRecorder, ReqClass, RetryPolicy, RunMetrics,
     WorkloadSpec,
@@ -19,14 +27,6 @@ use workload::{
 /// Seed salt for the fault plan's private random stream, so fault
 /// decisions never perturb the workload's own streams.
 pub const FAULT_SEED_SALT: u64 = 0x5EED_FA17;
-
-/// Stretch a duration by a slowdown factor (thermal-throttle windows
-/// multiply wall time while the amount of useful work is unchanged).
-/// Delegates to the canonical float boundary in sim-core rather than
-/// casting here, so simlint's time-float-cast rule has one waiver site.
-pub(crate) fn scale_duration(d: SimDuration, factor: f64) -> SimDuration {
-    d.mul_f64(factor)
-}
 
 /// When the dispatcher's view of workers goes stale enough to be dead
 /// data, stop steering on it: degrade to RSS-style hashing, and
@@ -58,9 +58,8 @@ impl StalenessPolicy {
 }
 
 /// Cross-assembly fault/reliability configuration, deliberately separate
-/// from each assembly's own config struct so existing call sites stay
-/// untouched: `run_probed` is `run_resilient_probed` with
-/// `ResilienceConfig::default()`.
+/// from each assembly's own config struct: [`crate::ServerSystem::run`] is
+/// [`crate::ServerSystem::run_resilient`] with `ResilienceConfig::default()`.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ResilienceConfig {
     /// Timed fault events (loss, bursts, crashes, stalls, blackouts).
@@ -305,6 +304,51 @@ impl AddressPlan {
         assert!(i < 256, "worker index out of addressing range");
         Endpoint::new(Ipv4Address::new(10, 0, 2, i as u8), 6000)
     }
+
+    /// A frame from `src_mac`/`src` to the client.
+    #[inline]
+    pub(crate) fn to_client(src_mac: EthernetAddress, src: Endpoint, msg: MsgRepr) -> FrameSpec {
+        FrameSpec {
+            src_mac,
+            dst_mac: AddressPlan::client_mac(),
+            src,
+            dst: AddressPlan::client_ep(),
+            msg,
+        }
+    }
+}
+
+/// The task a wire message carries, arriving at `arrived_at`.
+#[inline]
+pub(crate) fn msg_task(msg: &MsgRepr, arrived_at: SimTime) -> Task {
+    Task {
+        req_id: msg.req_id,
+        client_id: msg.client_id,
+        service: SimDuration::from_nanos(msg.service_ns),
+        remaining: SimDuration::from_nanos(msg.remaining_ns),
+        sent_at: SimTime::from_nanos(msg.sent_at_ns),
+        arrived_at,
+        body_len: msg.body_len,
+        preemptions: 0,
+        // A policy's slice grant rides the Assign frame's grant byte.
+        preempt: PreemptDecision::from_grant_code(msg.grant_code),
+    }
+}
+
+/// The `kind` message about `task`, with `remaining_ns` and a
+/// `body_len`-byte body and no slice grant.
+#[inline]
+pub(crate) fn task_msg(kind: MsgKind, task: &Task, remaining_ns: u64, body_len: u16) -> MsgRepr {
+    MsgRepr {
+        kind,
+        req_id: task.req_id,
+        client_id: task.client_id,
+        service_ns: task.service.as_nanos(),
+        remaining_ns,
+        sent_at_ns: task.sent_at.as_nanos(),
+        body_len,
+        grant_code: 0,
+    }
 }
 
 /// Just-in-time pacing state (§5.2's congestion-control co-design): the
@@ -406,9 +450,6 @@ pub struct Client {
     pub recorder: LatencyRecorder,
     /// Client id stamped into requests.
     pub client_id: u32,
-    /// Source ports rotate so RSS-based systems see many flows (the
-    /// paper's baselines need flow diversity to spread load at all).
-    port_cursor: u16,
     /// When set, responses carry server-load feedback and the client
     /// paces itself (§5.2 co-design). `None` = pure open loop (§4).
     pub pacing: Option<JitPacing>,
@@ -457,7 +498,6 @@ impl Client {
             sent: 0,
             recorder: LatencyRecorder::new(spec.warmup_until()),
             client_id: 1,
-            port_cursor: 0,
             pacing: None,
             retry: None,
             fate: Vec::new(),
@@ -477,11 +517,6 @@ impl Client {
     /// and up to `policy.max_attempts` transmissions.
     pub fn enable_retries(&mut self, policy: RetryPolicy) {
         self.retry = Some(policy);
-    }
-
-    /// The retry policy, if reliability is armed.
-    pub fn retry_policy(&self) -> Option<RetryPolicy> {
-        self.retry
     }
 
     /// The workload being generated.
@@ -512,10 +547,6 @@ impl Client {
         let id = self.next_id;
         self.next_id += 1;
         self.sent += 1;
-        self.port_cursor = self.port_cursor.wrapping_add(1);
-        let mut src = AddressPlan::client_ep();
-        // 1024 distinct source ports → plenty of flows for RSS.
-        src.port = 7000 + (self.port_cursor % 1024);
         let msg = MsgRepr::request(
             id,
             self.client_id,
@@ -526,13 +557,7 @@ impl Client {
         self.fate.push(Fate::Open);
         self.window.push_back(Some(PendingReq { msg, attempt: 1 }));
         self.open += 1;
-        FrameSpec {
-            src_mac: AddressPlan::client_mac(),
-            dst_mac: AddressPlan::dispatcher_mac(),
-            src,
-            dst: AddressPlan::dispatcher_ep(),
-            msg,
-        }
+        Client::request_frame(msg)
     }
 
     /// Index of `req_id` in the fate table, if the client issued it.
@@ -580,13 +605,15 @@ impl Client {
         Some((pending.attempt, policy.timeout_for(pending.attempt)))
     }
 
-    /// Rebuild the wire frame for a retransmission of `req_id`. The
-    /// message is byte-identical to the original (same id, service time
-    /// and send timestamp — latency is measured from the *first*
-    /// transmission); only the source port is re-derived so the flow
-    /// stays stable for RSS.
-    fn rebuild_frame(msg: MsgRepr) -> FrameSpec {
+    /// The wire frame of request `msg`, for its first transmission and
+    /// every retransmission alike (same id, service time and send
+    /// timestamp — latency is measured from the *first* transmission).
+    /// Source ports rotate with the request id so RSS-based systems see
+    /// many flows (the paper's baselines need flow diversity to spread
+    /// load at all), and each request's flow stays stable across retries.
+    fn request_frame(msg: MsgRepr) -> FrameSpec {
         let mut src = AddressPlan::client_ep();
+        // 1024 distinct source ports → plenty of flows for RSS.
         src.port = 7000 + (msg.req_id % 1024) as u16;
         FrameSpec {
             src_mac: AddressPlan::client_mac(),
@@ -616,7 +643,7 @@ impl Client {
         let msg = pending.msg;
         self.retries += 1;
         TimeoutOutcome::Retry {
-            frame: Client::rebuild_frame(msg),
+            frame: Client::request_frame(msg),
             attempt,
             timeout: policy.timeout_for(attempt),
         }
@@ -713,13 +740,9 @@ impl Client {
     }
 }
 
-/// Assemble [`RunMetrics`] from a client and system counters at `now`.
-pub fn assemble_metrics(
-    client: &Client,
-    dropped: u64,
-    preemptions: u64,
-    worker_utilization: f64,
-) -> RunMetrics {
+/// The client's half of [`RunMetrics`]: latency, throughput and the
+/// client-side fault ledger. The runner adds the server's counts.
+pub fn assemble_metrics(client: &Client) -> RunMetrics {
     let rec = &client.recorder;
     RunMetrics {
         offered_rps: client.spec().offered_rps,
@@ -739,12 +762,486 @@ pub fn assemble_metrics(
             .unwrap_or(SimDuration::ZERO),
         mean: rec.mean().unwrap_or(SimDuration::ZERO),
         completed: rec.completed,
-        dropped,
-        preemptions,
-        worker_utilization,
+        dropped: 0,
+        preemptions: 0,
+        worker_utilization: 0.0,
         stages: None,
         faults: client.fault_metrics(),
     }
+}
+
+/// The key of `name` in an assembly's probe-name table, found at compile
+/// time (a missing name fails the build), so the hot path records under
+/// dense keys.
+const fn key_of(names: &[&str], name: &str) -> ProbeKey {
+    let mut i = 0;
+    while i < names.len() {
+        let (a, b) = (names[i].as_bytes(), name.as_bytes());
+        let mut same = a.len() == b.len();
+        let mut j = 0;
+        while same && j < a.len() {
+            same = a[j] == b[j];
+            j += 1;
+        }
+        if same {
+            return ProbeKey::new(i as u32);
+        }
+        i += 1;
+    }
+    panic!("probe name is not in the table");
+}
+
+/// Client-side events, which every assembly's event type wraps.
+pub(crate) enum ClientEv {
+    /// The client emits its next request.
+    Send,
+    /// A request frame from the client wire reaches the server.
+    ToServer(Bytes),
+    /// A response (or NACK) frame reaches the client.
+    ToClient(Bytes),
+    /// A client retransmit timer fires for one attempt of one request.
+    Timeout {
+        /// Request id the timer guards.
+        req_id: u64,
+        /// Attempt number the timer was armed for (stale if superseded).
+        attempt: u32,
+    },
+}
+
+/// The probe keys the front end records under.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct FrontKeys {
+    sent: ProbeKey,
+    sent_mark: ProbeKey,
+    responses: ProbeKey,
+    response_mark: ProbeKey,
+    retries: ProbeKey,
+    nacks: ProbeKey,
+    req_lost: ProbeKey,
+    resp_lost: ProbeKey,
+}
+
+impl FrontKeys {
+    /// The front end's keys in an assembly's probe-name table; `response`
+    /// is the key of the assembly's last request-path hop.
+    pub(crate) const fn new(names: &[&str], response: ProbeKey) -> FrontKeys {
+        FrontKeys {
+            sent: key_of(names, "client.sent"),
+            sent_mark: key_of(names, "path.0_client_send"),
+            responses: key_of(names, "client.responses"),
+            response_mark: response,
+            retries: key_of(names, "client.retries"),
+            nacks: key_of(names, "client.nacks"),
+            req_lost: key_of(names, "wire.req_lost"),
+            resp_lost: key_of(names, "wire.resp_lost"),
+        }
+    }
+}
+
+/// The client and its two wires: what every assembly puts in front of
+/// its dispatch stage. It sends requests (and retransmissions) over the
+/// possibly lossy client→server link, carries responses and NACKs back
+/// over the server→client link, and counts the frames either link lost.
+/// Its events are the assembly's events `E`, built by `wrap`.
+#[derive(Debug)]
+pub(crate) struct FrontEnd<E> {
+    /// The open-loop client.
+    pub(crate) client: Client,
+    wrap: fn(ClientEv) -> E,
+    /// Run horizon: the client stops sending here.
+    pub(crate) horizon: SimTime,
+    client_link: Link,
+    server_link: Link,
+    keys: FrontKeys,
+    /// Request frames lost on the client→server wire (i.i.d. + burst).
+    req_lost: u64,
+    /// Response/NACK frames lost on the server→client wire.
+    resp_lost: u64,
+    /// Early NACK frames sent for shed requests.
+    nacks: u64,
+}
+
+impl<E> FrontEnd<E> {
+    /// The client for `spec` (with the `arrivals` override and `res`'s
+    /// retry policy) and its links (lossy at `res.faults.wire_loss`),
+    /// forking their streams from the seed in that order.
+    pub(crate) fn new(
+        spec: WorkloadSpec,
+        res: &ResilienceConfig,
+        arrivals: Option<ArrivalProcess>,
+        keys: FrontKeys,
+        wrap: fn(ClientEv) -> E,
+    ) -> FrontEnd<E> {
+        let mut master = Rng::new(spec.seed);
+        let mut client = Client::new(spec, &mut master);
+        if let Some(process) = arrivals {
+            client.override_arrivals(process, &mut master);
+        }
+        if let Some(policy) = res.retry {
+            client.enable_retries(policy);
+        }
+        let loss = res.faults.wire_loss;
+        let (client_link, server_link) = if loss > 0.0 {
+            (
+                Link::ten_gbe().with_loss(loss, master.fork()),
+                Link::ten_gbe().with_loss(loss, master.fork()),
+            )
+        } else {
+            (Link::ten_gbe(), Link::ten_gbe())
+        };
+        FrontEnd {
+            client,
+            wrap,
+            horizon: spec.horizon(),
+            client_link,
+            server_link,
+            keys,
+            req_lost: 0,
+            resp_lost: 0,
+            nacks: 0,
+        }
+    }
+
+    /// Transmit a client→server frame over the request wire.
+    #[inline]
+    fn send_request(&mut self, spec: &FrameSpec, ctx: &mut Ctx<'_, E>) {
+        let payload_len = spec.frame_len() - net_wire::ethernet::HEADER_LEN;
+        let bytes = spec.build();
+        let now = ctx.now();
+        let arrive = match ctx.faults().burst_frame_lost(now) {
+            true => None,
+            false => self.client_link.transmit_lossy(now, payload_len),
+        };
+        match arrive {
+            Some(at) => ctx.schedule_at(at, (self.wrap)(ClientEv::ToServer(bytes))),
+            None => {
+                self.req_lost += 1;
+                ctx.probe().count(self.keys.req_lost);
+            }
+        }
+    }
+
+    /// Transmit a server→client frame (response or NACK) over the
+    /// response wire, starting at `depart`.
+    #[inline]
+    pub(crate) fn send_response(
+        &mut self,
+        spec: &FrameSpec,
+        depart: SimTime,
+        ctx: &mut Ctx<'_, E>,
+    ) {
+        let payload_len = spec.frame_len() - net_wire::ethernet::HEADER_LEN;
+        let bytes = spec.build();
+        let arrive = match ctx.faults().burst_frame_lost(depart) {
+            true => None,
+            false => self.server_link.transmit_lossy(depart, payload_len),
+        };
+        match arrive {
+            Some(at) => ctx.schedule_at(at, (self.wrap)(ClientEv::ToClient(bytes))),
+            None => {
+                self.resp_lost += 1;
+                ctx.probe().count(self.keys.resp_lost);
+            }
+        }
+    }
+
+    /// Tell the client at once that the dispatcher shed `task`: an early
+    /// NACK departing at `depart`.
+    pub(crate) fn send_nack(&mut self, task: &Task, depart: SimTime, ctx: &mut Ctx<'_, E>) {
+        self.nacks += 1;
+        let spec = AddressPlan::to_client(
+            AddressPlan::dispatcher_mac(),
+            AddressPlan::dispatcher_ep(),
+            task_msg(MsgKind::Nack, task, 0, 0),
+        );
+        self.send_response(&spec, depart, ctx);
+    }
+
+    /// Handle a client event. A request frame reaching the server is
+    /// parsed and handed back for the assembly to take in (one that does
+    /// not parse is dropped); everything else ends here.
+    #[inline]
+    pub(crate) fn handle(
+        &mut self,
+        ev: ClientEv,
+        ctx: &mut Ctx<'_, E>,
+    ) -> Option<(Bytes, ParsedFrame)> {
+        match ev {
+            ClientEv::Send => {
+                if ctx.now() >= self.horizon {
+                    return None;
+                }
+                let spec = self.client.make_request(ctx.now());
+                let req_id = spec.msg.req_id;
+                ctx.probe().count(self.keys.sent);
+                ctx.probe().mark(req_id, self.keys.sent_mark);
+                self.send_request(&spec, ctx);
+                if let Some((attempt, timeout)) = self.client.arm_timeout(req_id) {
+                    ctx.schedule_in(timeout, (self.wrap)(ClientEv::Timeout { req_id, attempt }));
+                }
+                let gap = self.client.next_gap();
+                ctx.schedule_in(gap, (self.wrap)(ClientEv::Send));
+            }
+            ClientEv::ToServer(bytes) => {
+                let parsed = ParsedFrame::parse(&bytes).ok()?;
+                return Some((bytes, parsed));
+            }
+            ClientEv::ToClient(bytes) => {
+                let Ok(parsed) = ParsedFrame::parse(&bytes) else {
+                    return None;
+                };
+                let req_id = parsed.msg.req_id;
+                if parsed.msg.kind == MsgKind::Nack {
+                    ctx.probe().count(self.keys.nacks);
+                    let outcome = self.client.on_nack(ctx.now(), req_id);
+                    self.retry(req_id, outcome, ctx);
+                } else {
+                    ctx.probe().count(self.keys.responses);
+                    ctx.probe().finish(req_id, self.keys.response_mark);
+                    self.client.on_response(ctx.now(), &parsed);
+                }
+            }
+            ClientEv::Timeout { req_id, attempt } => {
+                let outcome = self.client.on_timeout(ctx.now(), req_id, attempt);
+                self.retry(req_id, outcome, ctx);
+            }
+        }
+        None
+    }
+
+    /// Retransmit `req_id` and arm its next timeout, if `outcome` says so.
+    fn retry(&mut self, req_id: u64, outcome: TimeoutOutcome, ctx: &mut Ctx<'_, E>) {
+        if let TimeoutOutcome::Retry {
+            frame,
+            attempt,
+            timeout,
+        } = outcome
+        {
+            ctx.probe().count(self.keys.retries);
+            self.send_request(&frame, ctx);
+            ctx.schedule_in(timeout, (self.wrap)(ClientEv::Timeout { req_id, attempt }));
+        }
+    }
+}
+
+/// What a dispatcher's heartbeat ticks drive: the stale-feedback governor
+/// and the lease-based failure detector, each optional.
+#[derive(Debug)]
+pub(crate) struct Liveness {
+    /// Stale-feedback governor over the dispatcher's workers.
+    governor: Option<FeedbackGovernor>,
+    /// NIC-side failure-detection policy; the dispatcher owns the lease
+    /// tracker, this copy drives the heartbeat cadence.
+    recovery: Option<RecoveryPolicy>,
+    switch_key: ProbeKey,
+    redispatch_key: ProbeKey,
+}
+
+impl Liveness {
+    /// The governor (`res.fallback`, over `workers` reporting with one-way
+    /// `latency`) and detector (`res.recovery`) of one dispatcher, counting
+    /// fallback switches and re-dispatches under `keys`.
+    pub(crate) fn new(
+        res: &ResilienceConfig,
+        workers: usize,
+        latency: SimDuration,
+        keys: (ProbeKey, ProbeKey),
+    ) -> Liveness {
+        Liveness {
+            governor: res
+                .fallback
+                .map(|p| FeedbackGovernor::new(workers, latency, p)),
+            recovery: res.recovery,
+            switch_key: keys.0,
+            redispatch_key: keys.1,
+        }
+    }
+
+    /// Whether workers heartbeat at all.
+    pub(crate) fn is_on(&self) -> bool {
+        self.governor.is_some() || self.recovery.is_some()
+    }
+
+    /// One heartbeat of worker `local` of `disp` (`global` in the fault
+    /// plan): report to the governor and let it re-evaluate staleness and
+    /// kick the dispatcher; renew the worker's lease through `renew` (given
+    /// its occupancy) unless it is silenced; expire leases and re-dispatch
+    /// orphans. Returns the assignments to emit and the interval to the
+    /// next tick.
+    #[inline]
+    pub(crate) fn lease_tick<P: SchedPolicy, S: CoreSelector, E>(
+        &mut self,
+        ctx: &mut Ctx<'_, E>,
+        disp: &mut Dispatcher<P, S>,
+        (local, global): (usize, usize),
+        busy: bool,
+        renew: impl FnOnce(&mut Ctx<'_, E>, u32),
+    ) -> (Vec<Assignment>, Option<SimDuration>) {
+        let now = ctx.now();
+        let silenced = ctx.faults().worker_down(global, now) || ctx.faults().feedback_blackout(now);
+        let occupancy = disp.outstanding(local);
+        let mut assignments = Vec::new();
+        let mut next = None;
+        if let Some(gov) = self.governor.as_mut() {
+            if !silenced {
+                gov.report(now, local, occupancy, busy);
+            }
+            let was_degraded = gov.is_degraded();
+            gov.evaluate(now, disp);
+            if gov.is_degraded() != was_degraded {
+                ctx.probe().count(self.switch_key);
+            }
+            assignments = disp.kick(now);
+            next = Some(gov.policy().heartbeat);
+        }
+        if let Some(policy) = self.recovery {
+            // A silenced worker (crashed, stalled, or blacked out) cannot
+            // renew its lease.
+            if !silenced {
+                renew(ctx, occupancy);
+            }
+            // Expire leases and re-dispatch orphans on the same tick, so
+            // detection shares the event queue with everything else.
+            let recovered = disp.check_health(now);
+            if !recovered.is_empty() {
+                ctx.probe().count(self.redispatch_key);
+            }
+            assignments.extend(recovered);
+            next = Some(next.map_or(policy.heartbeat, |n: SimDuration| n.min(policy.heartbeat)));
+        }
+        (assignments, next)
+    }
+
+    /// Add the governor's counts to the fault ledger.
+    pub(crate) fn ledger(&self, horizon: SimTime, fm: &mut FaultMetrics) {
+        if let Some(gov) = &self.governor {
+            fm.fallback_switches += gov.switches;
+            fm.fallback_ns += gov.fallback_ns(horizon);
+            fm.quarantines += gov.quarantines;
+        }
+    }
+}
+
+/// Add a dispatcher's shed and recovery counts to the fault ledger.
+pub(crate) fn dispatcher_ledger<P: SchedPolicy, S: CoreSelector>(
+    disp: &Dispatcher<P, S>,
+    fm: &mut FaultMetrics,
+) {
+    fm.shed += disp.stats.shed;
+    if let Some(h) = disp.health() {
+        fm.recovered += disp.stats.recovered;
+        fm.recovery_duplicates += disp.stats.late_duplicates;
+        fm.suspicions += h.stats.suspicions;
+        fm.readmissions += h.stats.readmissions;
+    }
+}
+
+/// Why a worker cannot start work now.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Halt {
+    /// Dead silicon: it never works again.
+    Crashed,
+    /// Stalled: `retry` is scheduled for when the stall ends.
+    Stalled,
+}
+
+/// Check worker `w` (its fault-plan index) before it starts work.
+#[inline]
+pub(crate) fn start_check<E>(ctx: &mut Ctx<'_, E>, w: usize, retry: E) -> Option<Halt> {
+    let now = ctx.now();
+    if ctx.faults().worker_crashed(w, now) {
+        return Some(Halt::Crashed);
+    }
+    if let Some(resume) = ctx.faults().worker_stalled_until(w, now) {
+        ctx.schedule_at(resume, retry);
+        return Some(Halt::Stalled);
+    }
+    None
+}
+
+/// Wall time worker `w` takes for `work` starting now: a slowdown window
+/// (thermal throttling) stretches it while the useful work is unchanged.
+#[inline]
+pub(crate) fn stretched<E>(ctx: &mut Ctx<'_, E>, w: usize, work: SimDuration) -> SimDuration {
+    let now = ctx.now();
+    let slow = ctx.faults().worker_slowdown(w, now);
+    if slow > 1.0 {
+        work.mul_f64(slow)
+    } else {
+        work
+    }
+}
+
+/// Mean utilization of `cores` over `[0, horizon)`.
+pub(crate) fn mean_utilization<'a>(
+    cores: impl Iterator<Item = &'a Core> + Clone,
+    horizon: SimTime,
+) -> f64 {
+    let n = cores.clone().count();
+    cores.map(|c| c.utilization(horizon)).sum::<f64>() / n as f64
+}
+
+/// One server design behind the shared client front end: how to build it,
+/// what it schedules at start-up, and its part of the fault ledger.
+pub(crate) trait Assembly: Model + Sized {
+    /// The assembly's configuration.
+    type Config;
+    /// Every probe name the assembly records, registered once per run.
+    const PROBE_NAMES: &'static [&'static str];
+
+    /// Build the model for one run of `spec`.
+    fn build(spec: WorkloadSpec, cfg: &Self::Config, res: ResilienceConfig) -> Self;
+
+    /// The client front end.
+    fn front(&self) -> &FrontEnd<Self::Event>;
+
+    /// Events to schedule after the client's first send (heartbeats and
+    /// controller ticks).
+    fn startup(&self) -> Vec<(SimTime, Self::Event)>;
+
+    /// Its part of the metrics at `horizon`: worker utilization,
+    /// preemptions, and the fault-ledger counts the client cannot see
+    /// (ring drops, stranding, shed, governor and recovery counts).
+    fn ledger(&self, horizon: SimTime, m: &mut RunMetrics);
+}
+
+/// Run one assembly: build it, register its probe names, arm the
+/// invariant checker and fault plan, seed the client, run to the horizon,
+/// then assemble the metrics and close the invariants. Returns the model
+/// too, for the side channels a few experiments read.
+pub(crate) fn run<A: Assembly>(
+    spec: WorkloadSpec,
+    cfg: &A::Config,
+    probe: ProbeConfig,
+    res: ResilienceConfig,
+) -> (RunMetrics, A) {
+    let mut engine = Engine::new(A::build(spec, cfg, res));
+    engine.set_probe(Probe::new(probe).register(A::PROBE_NAMES));
+    engine.set_invariants(checker_for(&res));
+    if res.is_active() {
+        engine.set_faults(FaultPlan::new(res.faults, spec.seed ^ FAULT_SEED_SALT));
+    }
+    let send = (engine.model().front().wrap)(ClientEv::Send);
+    engine.schedule_at(SimTime::ZERO, send);
+    for (at, ev) in engine.model().startup() {
+        engine.schedule_at(at, ev);
+    }
+    let horizon = spec.horizon();
+    engine.run_until(horizon);
+    let model = engine.model();
+    let front = model.front();
+    let mut metrics = assemble_metrics(&front.client);
+    metrics.faults.req_link_lost = front.req_lost;
+    metrics.faults.resp_link_lost = front.resp_lost;
+    metrics.faults.nacks = front.nacks;
+    model.ledger(horizon, &mut metrics);
+    let fm = &metrics.faults;
+    metrics.dropped = fm.ring_dropped + fm.link_lost() + fm.shed;
+    if probe.enabled {
+        metrics.stages = Some(engine.probe_mut().report(horizon));
+    }
+    close_invariants(engine.take_invariants(), horizon, &metrics);
+    (metrics, engine.into_model())
 }
 
 #[cfg(test)]
@@ -985,10 +1482,9 @@ mod tests {
         )
         .unwrap();
         client.on_response(SimTime::from_micros(15), &resp);
-        let m = assemble_metrics(&client, 2, 3, 0.5);
+        let m = assemble_metrics(&client);
         assert_eq!(m.completed, 1);
-        assert_eq!(m.dropped, 2);
-        assert_eq!(m.preemptions, 3);
+        assert_eq!(m.faults.launched, 1);
         assert_eq!(m.p99, SimDuration::from_micros(15));
     }
 
@@ -1075,7 +1571,7 @@ mod tests {
             self.fm.retries += 1;
             self.fm.attempts += 1;
             TimeoutOutcome::Retry {
-                frame: Client::rebuild_frame(p.msg),
+                frame: Client::request_frame(p.msg),
                 attempt: p.attempt,
                 timeout: policy.timeout_for(p.attempt),
             }

@@ -2,8 +2,8 @@
 //!
 //! Each module wires the substrates (NIC model, CPU model, wire formats,
 //! workload generation) and the `nicsched` dispatcher into one complete
-//! simulated server, exposing a uniform `run(WorkloadSpec, Config) ->
-//! RunMetrics` entry point:
+//! simulated server behind the shared client front end in [`common`];
+//! only the dispatch stage differs:
 //!
 //! * [`shinjuku`] — vanilla Shinjuku: host-resident networker + dispatcher
 //!   hyperthreads, shared-memory queues, worker preemption (the paper's
@@ -26,11 +26,12 @@
 //! All systems exchange real Ethernet/IPv4/UDP frames on external hops
 //! and are deterministic per seed.
 //!
-//! The preferred entry point is the [`ServerSystem`] trait (see [`api`]):
+//! The entry point is the [`ServerSystem`] trait (see [`api`]):
 //! `cfg.run(spec, ProbeConfig::disabled())` works uniformly across every
 //! assembly, and `ProbeConfig::enabled()` attaches a per-stage
-//! [`sim_core::StageReport`] to the returned metrics. The per-module free
-//! `run` functions are deprecated shims over the same code.
+//! [`sim_core::StageReport`] to the returned metrics. Two side channels
+//! have their own functions: [`baseline::run_with_elastic`] and
+//! [`multi_shinjuku::run_with_imbalance`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

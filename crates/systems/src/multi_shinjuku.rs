@@ -25,27 +25,25 @@
 //! this is vanilla Shinjuku, which is how
 //! [`ShinjukuConfig`](crate::shinjuku::ShinjukuConfig) runs.
 //!
-//! The two entry points differ in one rule, decided before the model is
-//! built: vanilla Shinjuku honours the stale-feedback fallback in
-//! [`ResilienceConfig`], giving its dispatcher a [`FeedbackGovernor`];
-//! [`run_resilient_probed`] clears it, so multi-dispatcher groups never
-//! fall back.
+//! The two configs differ in one rule, decided before the model is built:
+//! vanilla Shinjuku honours the stale-feedback fallback in
+//! [`ResilienceConfig`], giving each dispatcher a
+//! [`FeedbackGovernor`](crate::FeedbackGovernor); `MultiShinjukuConfig`
+//! clears it, so multi-dispatcher groups never fall back (see
+//! [`crate::ServerSystem`]'s impls).
 
 use std::collections::VecDeque;
 
-use bytes::Bytes;
 use cpu_model::{ContextCosts, ContextPool, Core, CoreId, CoreSpec, OneShotTimer, TimerMode};
-use net_wire::{FrameSpec, MsgKind, MsgRepr, ParsedFrame};
-use nic_model::{IfaceId, Link, NicDevice, QueueSteering, Rss};
-use nicsched::{
-    params, Assignment, Dispatcher, LeastOutstanding, PolicySpec, RecoveryPolicy, SchedPolicy, Task,
-};
-use sim_core::{Ctx, Engine, FaultPlan, Model, Probe, ProbeConfig, Rng, SimDuration, SimTime};
+use net_wire::{MsgKind, ParsedFrame};
+use nic_model::{IfaceId, NicDevice, QueueSteering, Rss};
+use nicsched::{params, Assignment, Dispatcher, LeastOutstanding, PolicySpec, SchedPolicy, Task};
+use sim_core::{Ctx, Model, ProbeConfig, SimDuration, SimTime};
 use workload::{RunMetrics, WorkloadSpec};
 
 use crate::common::{
-    assemble_metrics, scale_duration, AddressPlan, Client, FeedbackGovernor, ResilienceConfig,
-    TimeoutOutcome, FAULT_SEED_SALT,
+    dispatcher_ledger, mean_utilization, msg_task, run, start_check, stretched, task_msg,
+    AddressPlan, Assembly, ClientEv, FrontEnd, FrontKeys, Liveness, ResilienceConfig,
 };
 
 // Every probe name this assembly records, registered once per run.
@@ -88,6 +86,9 @@ sim_core::probe_keys! {
     }
 }
 
+/// The client front end's keys in this assembly's probe-name table.
+const FRONT_KEYS: FrontKeys = FrontKeys::new(key::NAMES, key::PATH_5_RESPONSE);
+
 /// Configuration of a multi-dispatcher Shinjuku.
 #[derive(Debug, Clone, Copy)]
 pub struct MultiShinjukuConfig {
@@ -125,44 +126,30 @@ impl MultiShinjukuConfig {
     }
 }
 
+/// Items crossing host shared memory into a group's dispatcher.
 #[derive(Debug, Clone, Copy)]
-enum DispItem {
+pub(crate) enum DispItem {
     NewTask(Task),
-    Done {
-        local_worker: usize,
-        req_id: u64,
-    },
-    Preempted {
-        local_worker: usize,
-        task: Task,
-    },
+    /// (local worker index, request id)
+    Done(usize, u64),
+    /// (local worker index, the preempted task)
+    Preempted(usize, Task),
     Emit(Assignment),
     /// A lease-renewal heartbeat from a group-local worker (recovery only).
-    Heartbeat {
-        local_worker: usize,
-    },
+    Heartbeat(usize),
 }
 
-enum Ev {
-    ClientSend,
-    WireToNic(Bytes),
+pub(crate) enum Ev {
+    /// The client and its wires; a request frame reaches the NIC.
+    Client(ClientEv),
     NetworkerDone(usize),
     DispPush(usize, DispItem),
     DispDone(usize),
     /// (group, local worker index, task)
     WorkerTask(usize, usize, Task),
     WorkerPoll(usize, usize),
-    WorkerRunEnd {
-        group: usize,
-        local: usize,
-        gen: u64,
-    },
-    ClientResp(Bytes),
-    /// A client retransmit timer fires for one attempt of one request.
-    ClientTimeout {
-        req_id: u64,
-        attempt: u32,
-    },
+    /// (group, local worker index, timer generation)
+    WorkerRunEnd(usize, usize, u64),
     /// A worker's periodic liveness heartbeat to its group dispatcher
     /// (group, local worker index; governor or recovery only).
     Heartbeat(usize, usize),
@@ -181,19 +168,16 @@ struct Group {
     disp_busy: bool,
     dispatcher: Dispatcher<Box<dyn SchedPolicy>, LeastOutstanding>,
     workers: Vec<Worker>,
-    /// Stale-feedback governor over this group's workers (vanilla
-    /// Shinjuku with a fallback policy only).
-    governor: Option<FeedbackGovernor>,
+    /// Stale-feedback governor (vanilla Shinjuku with a fallback policy
+    /// only) and lease heartbeats over this group's workers.
+    liveness: Liveness,
     /// Requests admitted by this group (imbalance statistics).
     admitted: u64,
 }
 
-struct MultiShinjuku {
+pub(crate) struct MultiShinjuku {
     cfg: MultiShinjukuConfig,
-    client: Client,
-    horizon: SimTime,
-    client_link: Link,
-    server_link: Link,
+    front: FrontEnd<Ev>,
     nic: NicDevice,
     net_iface: IfaceId,
     groups: Vec<Group>,
@@ -201,31 +185,318 @@ struct MultiShinjuku {
     ctx_costs: ContextCosts,
     host: CoreSpec,
     preemptions: u64,
-
-    /// NIC-side failure-detection policy, when recovery is enabled. Each
-    /// group's dispatcher runs its own tracker over its private workers.
-    recovery: Option<RecoveryPolicy>,
-    req_lost: u64,
-    resp_lost: u64,
+    /// Work that died with a crashed worker (running or delivered to it).
     stranded: u64,
-    nacks: u64,
 }
 
 impl MultiShinjuku {
-    fn new(spec: WorkloadSpec, cfg: MultiShinjukuConfig, res: ResilienceConfig) -> MultiShinjuku {
-        let mut master = Rng::new(spec.seed);
-        let mut client = Client::new(spec, &mut master);
-        if let Some(policy) = res.retry {
-            client.enable_retries(policy);
+    fn start_networker(&mut self, g: usize, ctx: &mut Ctx<'_, Ev>) {
+        if !self.groups[g].networker_busy && !self.nic.iface(self.net_iface).rx[g].is_empty() {
+            self.groups[g].networker_busy = true;
+            ctx.probe().busy_i(key::NETWORKER, g, true);
+            ctx.schedule_in(params::HOST_NET_PER_PACKET, Ev::NetworkerDone(g));
         }
-        let (client_link, server_link) = if res.faults.wire_loss > 0.0 {
-            (
-                Link::ten_gbe().with_loss(res.faults.wire_loss, master.fork()),
-                Link::ten_gbe().with_loss(res.faults.wire_loss, master.fork()),
-            )
-        } else {
-            (Link::ten_gbe(), Link::ten_gbe())
+    }
+
+    fn disp_item_cost(item: &DispItem) -> SimDuration {
+        match item {
+            DispItem::NewTask(_) => params::HOST_DISPATCH_ENQUEUE,
+            DispItem::Done(..) | DispItem::Preempted(..) => params::HOST_DISPATCH_COMPLETE,
+            DispItem::Emit(_) => params::HOST_DISPATCH_ASSIGN,
+            // A heartbeat is a single timestamp store on the tracker: charge
+            // it like a completion notification (queue-op scale).
+            DispItem::Heartbeat(_) => params::HOST_DISPATCH_COMPLETE,
+        }
+    }
+
+    fn start_dispatcher(&mut self, g: usize, ctx: &mut Ctx<'_, Ev>) {
+        let group = &mut self.groups[g];
+        if !group.disp_busy {
+            if let Some(item) = group.disp_queue.front() {
+                group.disp_busy = true;
+                let cost = Self::disp_item_cost(item);
+                ctx.probe().busy_i(key::DISPATCHER, g, true);
+                ctx.schedule_in(cost, Ev::DispDone(g));
+            }
+        }
+    }
+
+    fn worker_poll(&mut self, g: usize, local: usize, ctx: &mut Ctx<'_, Ev>) {
+        let global = g * self.cfg.workers_per_group + local;
+        if self.groups[g].workers[local].running.is_some()
+            || start_check(ctx, global, Ev::WorkerPoll(g, local)).is_some()
+        {
+            return;
+        }
+        let Some(task) = self.groups[g].workers[local].inbox.pop_front() else {
+            self.groups[g].workers[local].core.set_idle(ctx.now());
+            ctx.probe().busy_i(key::WORKER, global, false);
+            return;
         };
+        let depth = self.groups[g].workers[local].inbox.len();
+        ctx.probe().mark(task.req_id, key::PATH_3_WORKER_START);
+        ctx.probe().busy_i(key::WORKER, global, true);
+        ctx.probe().depth_i(key::WORKER_INBOX, global, depth);
+        let ctx_op = self.ctx_pool.begin(task.req_id);
+        let mut overhead = ContextPool::op_cost(ctx_op, &self.ctx_costs, &self.host);
+        // Per-dispatch grants stamped by the group's policy survive the
+        // shared-memory hop intact; `Inherit` reproduces the static timer.
+        let run = match task.preempt.resolve(self.cfg.time_slice) {
+            Some(slice) => {
+                overhead += TimerMode::DuneMapped.set_cost(&self.host);
+                task.remaining.min(slice)
+            }
+            None => task.remaining,
+        };
+        let wall = stretched(ctx, global, overhead + run);
+        let worker = &mut self.groups[g].workers[local];
+        worker.core.set_busy(ctx.now());
+        let end = ctx.now() + wall;
+        let gen = worker.timer.arm(end);
+        worker.running = Some((task, run));
+        ctx.schedule_at(end, Ev::WorkerRunEnd(g, local, gen));
+    }
+
+    fn worker_run_end(&mut self, g: usize, local: usize, gen: u64, ctx: &mut Ctx<'_, Ev>) {
+        if !self.groups[g].workers[local].timer.accept(gen) {
+            return;
+        }
+        let (task, run) = self.groups[g].workers[local]
+            .running
+            .take()
+            .expect("running");
+        let (now, global) = (ctx.now(), g * self.cfg.workers_per_group + local);
+        if ctx.faults().worker_crashed(global, now) {
+            // Died mid-request: the task is stranded, no Done ever reaches
+            // the group dispatcher, and its cap-1 slot stays occupied.
+            self.ctx_pool.discard(task.req_id);
+            self.stranded += 1;
+            ctx.probe().count(key::WORKER_STRANDED);
+            return;
+        }
+        if task.remaining <= run {
+            ctx.probe().count(key::WORKER_COMPLETED);
+            ctx.probe().mark(task.req_id, key::PATH_4_WORKER_DONE);
+            let resp_built = now + params::WORKER_TX_COST;
+            let resp = AddressPlan::to_client(
+                AddressPlan::dispatcher_mac(),
+                AddressPlan::worker_ep(global),
+                task_msg(MsgKind::Response, &task, 0, task.body_len),
+            );
+            let depart = resp_built + self.nic.dma_latency;
+            self.front.send_response(&resp, depart, ctx);
+            self.ctx_pool.discard(task.req_id);
+            ctx.schedule_in(
+                params::HOST_QUEUE_HOP,
+                Ev::DispPush(g, DispItem::Done(local, task.req_id)),
+            );
+            ctx.schedule_at(resp_built, Ev::WorkerPoll(g, local));
+        } else {
+            let after = task.after_preemption(run);
+            if self.ctx_pool.is_saved(after.req_id) {
+                // A retransmitted copy of this request is already suspended:
+                // kill this copy and free the worker slot via Done.
+                ctx.probe().count(key::WORKER_DUP_KILLED);
+                let free_at = now + TimerMode::DuneMapped.deliver_cost(&self.host);
+                ctx.schedule_at(
+                    free_at + params::HOST_QUEUE_HOP,
+                    Ev::DispPush(g, DispItem::Done(local, after.req_id)),
+                );
+                ctx.schedule_at(free_at, Ev::WorkerPoll(g, local));
+                return;
+            }
+            self.preemptions += 1;
+            ctx.probe().count(key::WORKER_PREEMPTED);
+            self.ctx_pool.save(after.req_id);
+            let free_at = now
+                + TimerMode::DuneMapped.deliver_cost(&self.host)
+                + self.ctx_costs.save(&self.host);
+            ctx.schedule_at(
+                free_at + params::HOST_QUEUE_HOP,
+                Ev::DispPush(g, DispItem::Preempted(local, after)),
+            );
+            ctx.schedule_at(free_at, Ev::WorkerPoll(g, local));
+        }
+    }
+
+    /// Imbalance across groups: max/mean admitted requests.
+    fn imbalance(&self) -> f64 {
+        let max = self.groups.iter().map(|g| g.admitted).max().unwrap_or(0) as f64;
+        let mean =
+            self.groups.iter().map(|g| g.admitted).sum::<u64>() as f64 / self.groups.len() as f64;
+        if mean == 0.0 {
+            1.0
+        } else {
+            max / mean
+        }
+    }
+}
+
+impl Model for MultiShinjuku {
+    type Event = Ev;
+
+    fn check_invariants(&self, now: SimTime, inv: &mut sim_core::InvariantChecker) {
+        self.nic.check_invariants(now, inv);
+        self.front.client.check_invariants(now, inv);
+    }
+
+    fn handle(&mut self, event: Ev, ctx: &mut Ctx<'_, Ev>) {
+        match event {
+            Ev::Client(ev) => {
+                let Some((bytes, parsed)) = self.front.handle(ev, ctx) else {
+                    return;
+                };
+                if let Some(d) = self.nic.steer(&parsed) {
+                    ctx.probe().count(key::NIC_RX_FRAMES);
+                    self.nic.iface_mut(d.iface).rx[d.queue].push(ctx.now(), bytes);
+                    let depth = self.nic.iface(d.iface).rx[d.queue].len();
+                    ctx.probe().depth_i(key::NETWORKER_RING, d.queue, depth);
+                    self.start_networker(d.queue, ctx);
+                }
+            }
+            Ev::NetworkerDone(g) => {
+                self.groups[g].networker_busy = false;
+                ctx.probe().busy_i(key::NETWORKER, g, false);
+                ctx.probe().count(key::NETWORKER_PARSED);
+                if let Some(frame) = self.nic.iface_mut(self.net_iface).rx[g].pop() {
+                    if let Ok(parsed) = ParsedFrame::parse(&frame.data) {
+                        if parsed.msg.kind == MsgKind::Request {
+                            let m = parsed.msg;
+                            ctx.probe().mark(m.req_id, key::PATH_1_HOST_NET);
+                            let task = msg_task(&m, ctx.now());
+                            ctx.schedule_in(
+                                params::HOST_QUEUE_HOP,
+                                Ev::DispPush(g, DispItem::NewTask(task)),
+                            );
+                        }
+                    }
+                }
+                self.start_networker(g, ctx);
+            }
+            Ev::DispPush(g, item) => {
+                self.groups[g].disp_queue.push_back(item);
+                let depth = self.groups[g].disp_queue.len();
+                ctx.probe().depth_i(key::DISPATCHER_INBOX, g, depth);
+                self.start_dispatcher(g, ctx);
+            }
+            Ev::DispDone(g) => {
+                self.groups[g].disp_busy = false;
+                ctx.probe().busy_i(key::DISPATCHER, g, false);
+                if let Some(item) = self.groups[g].disp_queue.pop_front() {
+                    let now = ctx.now();
+                    let assignments = match item {
+                        DispItem::NewTask(task) => {
+                            ctx.probe().mark(task.req_id, key::PATH_2_DISPATCH);
+                            match self.groups[g].dispatcher.offer(now, task) {
+                                nicsched::AdmitOutcome::Admitted(v) => {
+                                    self.groups[g].admitted += 1;
+                                    ctx.probe().count(key::DISP_ENQUEUE);
+                                    v
+                                }
+                                nicsched::AdmitOutcome::Shed { nack } => {
+                                    ctx.probe().count(key::DISP_SHED);
+                                    if nack {
+                                        ctx.probe().count(key::DISP_NACK);
+                                        let depart = now + self.nic.dma_latency;
+                                        self.front.send_nack(&task, depart, ctx);
+                                    }
+                                    Vec::new()
+                                }
+                            }
+                        }
+                        DispItem::Done(local_worker, req_id) => {
+                            ctx.probe().count(key::DISP_DONE);
+                            self.groups[g].dispatcher.on_done(now, local_worker, req_id)
+                        }
+                        DispItem::Preempted(local_worker, task) => {
+                            ctx.probe().count(key::DISP_PREEMPT_REQUEUE);
+                            ctx.probe().mark(task.req_id, key::PATH_2_DISPATCH);
+                            self.groups[g]
+                                .dispatcher
+                                .on_preempted(now, local_worker, task)
+                        }
+                        DispItem::Emit(a) => {
+                            ctx.probe().count(key::DISP_ASSIGN);
+                            ctx.schedule_in(
+                                params::HOST_QUEUE_HOP,
+                                Ev::WorkerTask(g, a.worker, a.task),
+                            );
+                            Vec::new()
+                        }
+                        DispItem::Heartbeat(local_worker) => {
+                            ctx.probe().count(key::DISP_HEARTBEAT);
+                            self.groups[g].dispatcher.on_heartbeat(now, local_worker)
+                        }
+                    };
+                    for a in assignments.into_iter().rev() {
+                        self.groups[g].disp_queue.push_front(DispItem::Emit(a));
+                    }
+                    let central = self.groups[g].dispatcher.queue_len();
+                    ctx.probe().depth_i(key::DISPATCHER_CENTRAL, g, central);
+                }
+                self.start_dispatcher(g, ctx);
+            }
+            Ev::WorkerTask(g, local, task) => {
+                let global = g * self.cfg.workers_per_group + local;
+                let now = ctx.now();
+                if ctx.faults().worker_crashed(global, now) {
+                    // Delivered into a dead core: stranded on arrival.
+                    self.ctx_pool.discard(task.req_id);
+                    self.stranded += 1;
+                    ctx.probe().count(key::WORKER_STRANDED);
+                    return;
+                }
+                let worker = &mut self.groups[g].workers[local];
+                worker.inbox.push_back(task);
+                ctx.probe()
+                    .depth_i(key::WORKER_INBOX, global, worker.inbox.len());
+                if worker.running.is_none() {
+                    ctx.schedule_now(Ev::WorkerPoll(g, local));
+                }
+            }
+            Ev::WorkerPoll(g, local) => self.worker_poll(g, local, ctx),
+            Ev::WorkerRunEnd(g, local, gen) => self.worker_run_end(g, local, gen, ctx),
+            Ev::Heartbeat(g, local) => {
+                if ctx.now() >= self.front.horizon {
+                    return;
+                }
+                let global = g * self.cfg.workers_per_group + local;
+                let group = &mut self.groups[g];
+                let busy = group.workers[local].running.is_some();
+                // Lease renewal crosses host shared memory.
+                let renew = |ctx: &mut Ctx<'_, Ev>, _| {
+                    ctx.schedule_in(
+                        params::HOST_QUEUE_HOP,
+                        Ev::DispPush(g, DispItem::Heartbeat(local)),
+                    );
+                };
+                let (assignments, next) = group.liveness.lease_tick(
+                    ctx,
+                    &mut group.dispatcher,
+                    (local, global),
+                    busy,
+                    renew,
+                );
+                // Unparked work still pays the dispatcher's per-assignment
+                // cost like any other emission.
+                for a in assignments {
+                    ctx.schedule_now(Ev::DispPush(g, DispItem::Emit(a)));
+                }
+                if let Some(interval) = next {
+                    ctx.schedule_in(interval, Ev::Heartbeat(g, local));
+                }
+            }
+        }
+    }
+}
+
+impl Assembly for MultiShinjuku {
+    type Config = MultiShinjukuConfig;
+    const PROBE_NAMES: &'static [&'static str] = key::NAMES;
+
+    fn build(spec: WorkloadSpec, cfg: &MultiShinjukuConfig, res: ResilienceConfig) -> Self {
+        let cfg = *cfg;
+        let front = FrontEnd::new(spec, &res, None, FRONT_KEYS, Ev::Client);
 
         let mut nic = NicDevice::new(params::PCIE_DMA);
         // One RX queue per dispatcher group, fed by RSS (§2.2).
@@ -267,19 +538,19 @@ impl MultiShinjuku {
                         running: None,
                     })
                     .collect(),
-                governor: res.fallback.map(|p| {
-                    FeedbackGovernor::new(cfg.workers_per_group, params::HOST_QUEUE_HOP, p)
-                }),
+                liveness: Liveness::new(
+                    &res,
+                    cfg.workers_per_group,
+                    params::HOST_QUEUE_HOP,
+                    (key::FALLBACK_SWITCH, key::RECOVERY_REDISPATCH),
+                ),
                 admitted: 0,
             })
             .collect();
 
         MultiShinjuku {
             cfg,
-            horizon: spec.horizon(),
-            client,
-            client_link,
-            server_link,
+            front,
             nic,
             net_iface,
             groups,
@@ -287,511 +558,38 @@ impl MultiShinjuku {
             ctx_costs: ContextCosts::default(),
             host: CoreSpec::host_x86(),
             preemptions: 0,
-            recovery: res.recovery,
-            req_lost: 0,
-            resp_lost: 0,
             stranded: 0,
-            nacks: 0,
         }
     }
 
-    /// Transmit a client→NIC frame over the (possibly lossy) request wire.
-    fn send_request(&mut self, spec: &FrameSpec, ctx: &mut Ctx<'_, Ev>) {
-        let payload_len = spec.frame_len() - net_wire::ethernet::HEADER_LEN;
-        let bytes = spec.build();
-        let now = ctx.now();
-        if ctx.faults().burst_frame_lost(now) {
-            self.req_lost += 1;
-            ctx.probe().count(key::WIRE_REQ_LOST);
-            return;
-        }
-        match self.client_link.transmit_lossy(now, payload_len) {
-            Some(arrive) => ctx.schedule_at(arrive, Ev::WireToNic(bytes)),
-            None => {
-                self.req_lost += 1;
-                ctx.probe().count(key::WIRE_REQ_LOST);
-            }
-        }
+    fn front(&self) -> &FrontEnd<Ev> {
+        &self.front
     }
 
-    /// Transmit a server→client frame (response or NACK) starting at `depart`.
-    fn send_response(&mut self, spec: &FrameSpec, depart: SimTime, ctx: &mut Ctx<'_, Ev>) {
-        let payload_len = spec.frame_len() - net_wire::ethernet::HEADER_LEN;
-        let bytes = spec.build();
-        if ctx.faults().burst_frame_lost(depart) {
-            self.resp_lost += 1;
-            ctx.probe().count(key::WIRE_RESP_LOST);
-            return;
-        }
-        match self.server_link.transmit_lossy(depart, payload_len) {
-            Some(arrive) => ctx.schedule_at(arrive, Ev::ClientResp(bytes)),
-            None => {
-                self.resp_lost += 1;
-                ctx.probe().count(key::WIRE_RESP_LOST);
-            }
-        }
+    fn startup(&self) -> Vec<(SimTime, Ev)> {
+        let workers = 0..self.cfg.workers_per_group;
+        let on = (0..self.groups.len()).filter(|&g| self.groups[g].liveness.is_on());
+        on.flat_map(|g| {
+            workers
+                .clone()
+                .map(move |l| (SimTime::ZERO, Ev::Heartbeat(g, l)))
+        })
+        .collect()
     }
 
-    fn start_networker(&mut self, g: usize, ctx: &mut Ctx<'_, Ev>) {
-        if !self.groups[g].networker_busy && !self.nic.iface(self.net_iface).rx[g].is_empty() {
-            self.groups[g].networker_busy = true;
-            ctx.probe().busy_i(key::NETWORKER, g, true);
-            ctx.schedule_in(params::HOST_NET_PER_PACKET, Ev::NetworkerDone(g));
-        }
-    }
-
-    fn disp_item_cost(item: &DispItem) -> SimDuration {
-        match item {
-            DispItem::NewTask(_) => params::HOST_DISPATCH_ENQUEUE,
-            DispItem::Done { .. } | DispItem::Preempted { .. } => params::HOST_DISPATCH_COMPLETE,
-            DispItem::Emit(_) => params::HOST_DISPATCH_ASSIGN,
-            // A heartbeat is a single timestamp store on the tracker: charge
-            // it like a completion notification (queue-op scale).
-            DispItem::Heartbeat { .. } => params::HOST_DISPATCH_COMPLETE,
-        }
-    }
-
-    fn start_dispatcher(&mut self, g: usize, ctx: &mut Ctx<'_, Ev>) {
-        let group = &mut self.groups[g];
-        if !group.disp_busy {
-            if let Some(item) = group.disp_queue.front() {
-                group.disp_busy = true;
-                let cost = Self::disp_item_cost(item);
-                ctx.probe().busy_i(key::DISPATCHER, g, true);
-                ctx.schedule_in(cost, Ev::DispDone(g));
-            }
-        }
-    }
-
-    fn worker_poll(&mut self, g: usize, local: usize, ctx: &mut Ctx<'_, Ev>) {
-        if self.groups[g].workers[local].running.is_some() {
-            return;
-        }
-        {
-            let gw = g * self.cfg.workers_per_group + local;
-            let now = ctx.now();
-            if ctx.faults().worker_crashed(gw, now) {
-                return; // dead cores never poll again
-            }
-            if let Some(resume) = ctx.faults().worker_stalled_until(gw, now) {
-                ctx.schedule_at(resume, Ev::WorkerPoll(g, local));
-                return;
-            }
-        }
-        let Some(task) = self.groups[g].workers[local].inbox.pop_front() else {
-            self.groups[g].workers[local].core.set_idle(ctx.now());
-            let global = g * self.cfg.workers_per_group + local;
-            ctx.probe().busy_i(key::WORKER, global, false);
-            return;
-        };
-        let global = g * self.cfg.workers_per_group + local;
-        let depth = self.groups[g].workers[local].inbox.len();
-        ctx.probe().mark(task.req_id, key::PATH_3_WORKER_START);
-        ctx.probe().busy_i(key::WORKER, global, true);
-        ctx.probe().depth_i(key::WORKER_INBOX, global, depth);
-        let ctx_op = self.ctx_pool.begin(task.req_id);
-        let mut overhead = ContextPool::op_cost(ctx_op, &self.ctx_costs, &self.host);
-        // Per-dispatch grants stamped by the group's policy survive the
-        // shared-memory hop intact; `Inherit` reproduces the static timer.
-        let run = match task.preempt.resolve(self.cfg.time_slice) {
-            Some(slice) => {
-                overhead += TimerMode::DuneMapped.set_cost(&self.host);
-                task.remaining.min(slice)
-            }
-            None => task.remaining,
-        };
-        let slow = {
-            let now = ctx.now();
-            ctx.faults().worker_slowdown(global, now)
-        };
-        let wall = if slow > 1.0 {
-            scale_duration(overhead + run, slow)
-        } else {
-            overhead + run
-        };
-        let worker = &mut self.groups[g].workers[local];
-        worker.core.set_busy(ctx.now());
-        let end = ctx.now() + wall;
-        let gen = worker.timer.arm(end);
-        worker.running = Some((task, run));
-        ctx.schedule_at(
-            end,
-            Ev::WorkerRunEnd {
-                group: g,
-                local,
-                gen,
-            },
-        );
-    }
-
-    fn worker_run_end(&mut self, g: usize, local: usize, gen: u64, ctx: &mut Ctx<'_, Ev>) {
-        if !self.groups[g].workers[local].timer.accept(gen) {
-            return;
-        }
-        let (task, run) = self.groups[g].workers[local]
-            .running
-            .take()
-            .expect("running");
-        let now = ctx.now();
-        if ctx
-            .faults()
-            .worker_crashed(g * self.cfg.workers_per_group + local, now)
-        {
-            // Died mid-request: the task is stranded, no Done ever reaches
-            // the group dispatcher, and its cap-1 slot stays occupied.
-            self.ctx_pool.discard(task.req_id);
-            self.stranded += 1;
-            ctx.probe().count(key::WORKER_STRANDED);
-            return;
-        }
-        if task.remaining <= run {
-            ctx.probe().count(key::WORKER_COMPLETED);
-            ctx.probe().mark(task.req_id, key::PATH_4_WORKER_DONE);
-            let resp_built = now + params::WORKER_TX_COST;
-            let resp = FrameSpec {
-                src_mac: AddressPlan::dispatcher_mac(),
-                dst_mac: AddressPlan::client_mac(),
-                src: AddressPlan::worker_ep(g * self.cfg.workers_per_group + local),
-                dst: AddressPlan::client_ep(),
-                msg: MsgRepr {
-                    kind: MsgKind::Response,
-                    req_id: task.req_id,
-                    client_id: task.client_id,
-                    service_ns: task.service.as_nanos(),
-                    remaining_ns: 0,
-                    sent_at_ns: task.sent_at.as_nanos(),
-                    body_len: task.body_len,
-                    grant_code: 0,
-                },
-            };
-            let depart = resp_built + self.nic.dma_latency;
-            self.send_response(&resp, depart, ctx);
-            self.ctx_pool.discard(task.req_id);
-            self.groups[g].workers[local].core.requests_run += 1;
-            ctx.schedule_in(
-                params::HOST_QUEUE_HOP,
-                Ev::DispPush(
-                    g,
-                    DispItem::Done {
-                        local_worker: local,
-                        req_id: task.req_id,
-                    },
-                ),
-            );
-            ctx.schedule_at(resp_built, Ev::WorkerPoll(g, local));
-        } else {
-            let after = task.after_preemption(run);
-            if self.ctx_pool.is_saved(after.req_id) {
-                // A retransmitted copy of this request is already suspended:
-                // kill this copy and free the worker slot via Done.
-                ctx.probe().count(key::WORKER_DUP_KILLED);
-                let free_at = now + TimerMode::DuneMapped.deliver_cost(&self.host);
-                ctx.schedule_at(
-                    free_at + params::HOST_QUEUE_HOP,
-                    Ev::DispPush(
-                        g,
-                        DispItem::Done {
-                            local_worker: local,
-                            req_id: after.req_id,
-                        },
-                    ),
-                );
-                ctx.schedule_at(free_at, Ev::WorkerPoll(g, local));
-                return;
-            }
-            self.preemptions += 1;
-            ctx.probe().count(key::WORKER_PREEMPTED);
-            self.ctx_pool.save(after.req_id);
-            let free_at = now
-                + TimerMode::DuneMapped.deliver_cost(&self.host)
-                + self.ctx_costs.save(&self.host);
-            ctx.schedule_at(
-                free_at + params::HOST_QUEUE_HOP,
-                Ev::DispPush(
-                    g,
-                    DispItem::Preempted {
-                        local_worker: local,
-                        task: after,
-                    },
-                ),
-            );
-            ctx.schedule_at(free_at, Ev::WorkerPoll(g, local));
-        }
-    }
-
-    /// Imbalance across groups: max/mean admitted requests.
-    fn imbalance(&self) -> f64 {
-        let max = self.groups.iter().map(|g| g.admitted).max().unwrap_or(0) as f64;
-        let mean =
-            self.groups.iter().map(|g| g.admitted).sum::<u64>() as f64 / self.groups.len() as f64;
-        if mean == 0.0 {
-            1.0
-        } else {
-            max / mean
-        }
-    }
-}
-
-impl Model for MultiShinjuku {
-    type Event = Ev;
-
-    fn check_invariants(&self, now: SimTime, inv: &mut sim_core::InvariantChecker) {
-        self.nic.check_invariants(now, inv);
-        self.client.check_invariants(now, inv);
-    }
-
-    fn handle(&mut self, event: Ev, ctx: &mut Ctx<'_, Ev>) {
-        match event {
-            Ev::ClientSend => {
-                if ctx.now() >= self.horizon {
-                    return;
-                }
-                let spec = self.client.make_request(ctx.now());
-                let req_id = spec.msg.req_id;
-                ctx.probe().count(key::CLIENT_SENT);
-                ctx.probe().mark(req_id, key::PATH_0_CLIENT_SEND);
-                self.send_request(&spec, ctx);
-                if let Some((attempt, timeout)) = self.client.arm_timeout(req_id) {
-                    ctx.schedule_in(timeout, Ev::ClientTimeout { req_id, attempt });
-                }
-                let gap = self.client.next_gap();
-                ctx.schedule_in(gap, Ev::ClientSend);
-            }
-            Ev::WireToNic(bytes) => {
-                let Ok(parsed) = ParsedFrame::parse(&bytes) else {
-                    return;
-                };
-                if let Some(d) = self.nic.steer(&parsed) {
-                    ctx.probe().count(key::NIC_RX_FRAMES);
-                    self.nic.iface_mut(d.iface).rx[d.queue].push(ctx.now(), bytes);
-                    let depth = self.nic.iface(d.iface).rx[d.queue].len();
-                    ctx.probe().depth_i(key::NETWORKER_RING, d.queue, depth);
-                    self.start_networker(d.queue, ctx);
-                }
-            }
-            Ev::NetworkerDone(g) => {
-                self.groups[g].networker_busy = false;
-                ctx.probe().busy_i(key::NETWORKER, g, false);
-                ctx.probe().count(key::NETWORKER_PARSED);
-                if let Some(frame) = self.nic.iface_mut(self.net_iface).rx[g].pop() {
-                    if let Ok(parsed) = ParsedFrame::parse(&frame.data) {
-                        if parsed.msg.kind == MsgKind::Request {
-                            let m = parsed.msg;
-                            ctx.probe().mark(m.req_id, key::PATH_1_HOST_NET);
-                            let task = Task::new(
-                                m.req_id,
-                                m.client_id,
-                                SimDuration::from_nanos(m.service_ns),
-                                SimTime::from_nanos(m.sent_at_ns),
-                                ctx.now(),
-                                m.body_len,
-                            );
-                            ctx.schedule_in(
-                                params::HOST_QUEUE_HOP,
-                                Ev::DispPush(g, DispItem::NewTask(task)),
-                            );
-                        }
-                    }
-                }
-                self.start_networker(g, ctx);
-            }
-            Ev::DispPush(g, item) => {
-                self.groups[g].disp_queue.push_back(item);
-                let depth = self.groups[g].disp_queue.len();
-                ctx.probe().depth_i(key::DISPATCHER_INBOX, g, depth);
-                self.start_dispatcher(g, ctx);
-            }
-            Ev::DispDone(g) => {
-                self.groups[g].disp_busy = false;
-                ctx.probe().busy_i(key::DISPATCHER, g, false);
-                if let Some(item) = self.groups[g].disp_queue.pop_front() {
-                    let now = ctx.now();
-                    let assignments = match item {
-                        DispItem::NewTask(task) => {
-                            ctx.probe().mark(task.req_id, key::PATH_2_DISPATCH);
-                            match self.groups[g].dispatcher.offer(now, task) {
-                                nicsched::AdmitOutcome::Admitted(v) => {
-                                    self.groups[g].admitted += 1;
-                                    ctx.probe().count(key::DISP_ENQUEUE);
-                                    v
-                                }
-                                nicsched::AdmitOutcome::Shed { nack } => {
-                                    ctx.probe().count(key::DISP_SHED);
-                                    if nack {
-                                        self.nacks += 1;
-                                        ctx.probe().count(key::DISP_NACK);
-                                        let frame = FrameSpec {
-                                            src_mac: AddressPlan::dispatcher_mac(),
-                                            dst_mac: AddressPlan::client_mac(),
-                                            src: AddressPlan::dispatcher_ep(),
-                                            dst: AddressPlan::client_ep(),
-                                            msg: MsgRepr {
-                                                kind: MsgKind::Nack,
-                                                req_id: task.req_id,
-                                                client_id: task.client_id,
-                                                service_ns: task.service.as_nanos(),
-                                                remaining_ns: 0,
-                                                sent_at_ns: task.sent_at.as_nanos(),
-                                                body_len: 0,
-                                                grant_code: 0,
-                                            },
-                                        };
-                                        let depart = now + self.nic.dma_latency;
-                                        self.send_response(&frame, depart, ctx);
-                                    }
-                                    Vec::new()
-                                }
-                            }
-                        }
-                        DispItem::Done {
-                            local_worker,
-                            req_id,
-                        } => {
-                            ctx.probe().count(key::DISP_DONE);
-                            self.groups[g].dispatcher.on_done(now, local_worker, req_id)
-                        }
-                        DispItem::Preempted { local_worker, task } => {
-                            ctx.probe().count(key::DISP_PREEMPT_REQUEUE);
-                            ctx.probe().mark(task.req_id, key::PATH_2_DISPATCH);
-                            self.groups[g]
-                                .dispatcher
-                                .on_preempted(now, local_worker, task)
-                        }
-                        DispItem::Emit(a) => {
-                            ctx.probe().count(key::DISP_ASSIGN);
-                            ctx.schedule_in(
-                                params::HOST_QUEUE_HOP,
-                                Ev::WorkerTask(g, a.worker, a.task),
-                            );
-                            Vec::new()
-                        }
-                        DispItem::Heartbeat { local_worker } => {
-                            ctx.probe().count(key::DISP_HEARTBEAT);
-                            self.groups[g].dispatcher.on_heartbeat(now, local_worker)
-                        }
-                    };
-                    for a in assignments.into_iter().rev() {
-                        self.groups[g].disp_queue.push_front(DispItem::Emit(a));
-                    }
-                    let central = self.groups[g].dispatcher.queue_len();
-                    ctx.probe().depth_i(key::DISPATCHER_CENTRAL, g, central);
-                }
-                self.start_dispatcher(g, ctx);
-            }
-            Ev::WorkerTask(g, local, task) => {
-                let global = g * self.cfg.workers_per_group + local;
-                let now = ctx.now();
-                if ctx.faults().worker_crashed(global, now) {
-                    // Delivered into a dead core: stranded on arrival.
-                    self.ctx_pool.discard(task.req_id);
-                    self.stranded += 1;
-                    ctx.probe().count(key::WORKER_STRANDED);
-                    return;
-                }
-                let worker = &mut self.groups[g].workers[local];
-                worker.inbox.push_back(task);
-                ctx.probe()
-                    .depth_i(key::WORKER_INBOX, global, worker.inbox.len());
-                if worker.running.is_none() {
-                    ctx.schedule_now(Ev::WorkerPoll(g, local));
-                }
-            }
-            Ev::WorkerPoll(g, local) => self.worker_poll(g, local, ctx),
-            Ev::WorkerRunEnd { group, local, gen } => self.worker_run_end(group, local, gen, ctx),
-            Ev::ClientResp(bytes) => {
-                let Ok(parsed) = ParsedFrame::parse(&bytes) else {
-                    return;
-                };
-                if parsed.msg.kind == MsgKind::Nack {
-                    ctx.probe().count(key::CLIENT_NACKS);
-                    let req_id = parsed.msg.req_id;
-                    if let TimeoutOutcome::Retry {
-                        frame,
-                        attempt,
-                        timeout,
-                    } = self.client.on_nack(ctx.now(), req_id)
-                    {
-                        ctx.probe().count(key::CLIENT_RETRIES);
-                        self.send_request(&frame, ctx);
-                        ctx.schedule_in(timeout, Ev::ClientTimeout { req_id, attempt });
-                    }
-                    return;
-                }
-                ctx.probe().count(key::CLIENT_RESPONSES);
-                ctx.probe().finish(parsed.msg.req_id, key::PATH_5_RESPONSE);
-                self.client.on_response(ctx.now(), &parsed);
-            }
-            Ev::ClientTimeout { req_id, attempt } => {
-                if let TimeoutOutcome::Retry {
-                    frame,
-                    attempt,
-                    timeout,
-                } = self.client.on_timeout(ctx.now(), req_id, attempt)
-                {
-                    ctx.probe().count(key::CLIENT_RETRIES);
-                    self.send_request(&frame, ctx);
-                    ctx.schedule_in(timeout, Ev::ClientTimeout { req_id, attempt });
-                }
-            }
-            Ev::Heartbeat(g, local) => {
-                let now = ctx.now();
-                if now >= self.horizon {
-                    return;
-                }
-                let global = g * self.cfg.workers_per_group + local;
-                let silenced =
-                    ctx.faults().worker_down(global, now) || ctx.faults().feedback_blackout(now);
-                let group = &mut self.groups[g];
-                let mut assignments = Vec::new();
-                let mut next = None;
-                if let Some(gov) = group.governor.as_mut() {
-                    if !silenced {
-                        let occupancy = group.dispatcher.outstanding(local);
-                        let busy = group.workers[local].running.is_some();
-                        gov.report(now, local, occupancy, busy);
-                    }
-                    let was_degraded = gov.is_degraded();
-                    gov.evaluate(now, &mut group.dispatcher);
-                    if gov.is_degraded() != was_degraded {
-                        ctx.probe().count(key::FALLBACK_SWITCH);
-                    }
-                    assignments = group.dispatcher.kick(now);
-                    next = Some(gov.policy().heartbeat);
-                }
-                if let Some(policy) = self.recovery {
-                    // Worker side: lease renewal crosses host shared memory —
-                    // a silenced worker cannot renew.
-                    if !silenced {
-                        ctx.schedule_in(
-                            params::HOST_QUEUE_HOP,
-                            Ev::DispPush(
-                                g,
-                                DispItem::Heartbeat {
-                                    local_worker: local,
-                                },
-                            ),
-                        );
-                    }
-                    // Group-dispatcher side: expire leases and re-dispatch
-                    // orphans within this group on the same tick.
-                    let recovered = group.dispatcher.check_health(now);
-                    if !recovered.is_empty() {
-                        ctx.probe().count(key::RECOVERY_REDISPATCH);
-                    }
-                    assignments.extend(recovered);
-                    next = Some(
-                        next.map_or(policy.heartbeat, |n: SimDuration| n.min(policy.heartbeat)),
-                    );
-                }
-                // Unparked work still pays the dispatcher's per-assignment
-                // cost like any other emission.
-                for a in assignments {
-                    ctx.schedule_now(Ev::DispPush(g, DispItem::Emit(a)));
-                }
-                if let Some(interval) = next {
-                    ctx.schedule_in(interval, Ev::Heartbeat(g, local));
-                }
-            }
+    fn ledger(&self, horizon: SimTime, m: &mut RunMetrics) {
+        let cores = self
+            .groups
+            .iter()
+            .flat_map(|g| g.workers.iter().map(|w| &w.core));
+        m.worker_utilization = mean_utilization(cores, horizon);
+        m.preemptions = self.preemptions;
+        let fm = &mut m.faults;
+        fm.ring_dropped = self.nic.total_drops();
+        fm.stranded = self.stranded;
+        for group in &self.groups {
+            dispatcher_ledger(&group.dispatcher, fm);
+            group.liveness.ledger(horizon, fm);
         }
     }
 }
@@ -806,103 +604,29 @@ pub struct MultiRunMetrics {
     pub imbalance: f64,
 }
 
-/// Run a multi-dispatcher Shinjuku simulation with stage-level
-/// observability (per-group stages are indexed, e.g. `dispatcher[1]`).
-pub fn run_probed(
-    spec: WorkloadSpec,
-    cfg: MultiShinjukuConfig,
-    probe: ProbeConfig,
-) -> MultiRunMetrics {
-    run_resilient_probed(spec, cfg, probe, ResilienceConfig::default())
-}
-
-/// Run a multi-dispatcher Shinjuku with fault injection, client retries
-/// and per-group admission control. The staleness-fallback settings in
-/// `res` are ignored: each group's dispatcher sits one queue hop from its
-/// private workers, so there is no cross-group feedback to go stale — the
-/// RSS spray across groups already *is* the uninformed fallback.
-pub fn run_resilient_probed(
-    spec: WorkloadSpec,
-    cfg: MultiShinjukuConfig,
-    probe: ProbeConfig,
-    mut res: ResilienceConfig,
-) -> MultiRunMetrics {
-    res.fallback = None;
-    run_model(spec, cfg, probe, res)
-}
-
-/// Run the shared Shinjuku model under every setting in `res`, the
-/// staleness fallback included (one governor per group).
-pub(crate) fn run_model(
-    spec: WorkloadSpec,
-    cfg: MultiShinjukuConfig,
-    probe: ProbeConfig,
-    res: ResilienceConfig,
-) -> MultiRunMetrics {
-    let mut engine = Engine::new(MultiShinjuku::new(spec, cfg, res));
-    engine.set_probe(Probe::new(probe).register(key::NAMES));
-    engine.set_invariants(crate::common::checker_for(&res));
-    if res.is_active() {
-        engine.set_faults(FaultPlan::new(res.faults, spec.seed ^ FAULT_SEED_SALT));
+/// Run a multi-dispatcher Shinjuku without faults or probes, also
+/// reporting the imbalance across its groups.
+pub fn run_with_imbalance(spec: WorkloadSpec, cfg: MultiShinjukuConfig) -> MultiRunMetrics {
+    let (metrics, model) = run::<MultiShinjuku>(
+        spec,
+        &cfg,
+        ProbeConfig::disabled(),
+        ResilienceConfig::default(),
+    );
+    MultiRunMetrics {
+        metrics,
+        imbalance: model.imbalance(),
     }
-    engine.schedule_at(SimTime::ZERO, Ev::ClientSend);
-    if res.fallback.is_some() || res.recovery.is_some() {
-        for g in 0..cfg.groups {
-            for local in 0..cfg.workers_per_group {
-                engine.schedule_at(SimTime::ZERO, Ev::Heartbeat(g, local));
-            }
-        }
-    }
-    engine.run_until(spec.horizon());
-    let horizon = spec.horizon();
-    let model = engine.model();
-    let all_workers: Vec<&Worker> = model.groups.iter().flat_map(|g| g.workers.iter()).collect();
-    let util = all_workers
-        .iter()
-        .map(|w| w.core.utilization(horizon))
-        .sum::<f64>()
-        / all_workers.len() as f64;
-    let imbalance = model.imbalance();
-    let ring_dropped = model.nic.total_drops();
-    let shed: u64 = model.groups.iter().map(|g| g.dispatcher.stats.shed).sum();
-    let mut metrics = assemble_metrics(&model.client, ring_dropped, model.preemptions, util);
-    let fm = &mut metrics.faults;
-    fm.req_link_lost = model.req_lost;
-    fm.resp_link_lost = model.resp_lost;
-    fm.ring_dropped = ring_dropped;
-    fm.stranded = model.stranded;
-    fm.shed = shed;
-    fm.nacks = model.nacks;
-    for gov in model.groups.iter().filter_map(|g| g.governor.as_ref()) {
-        fm.fallback_switches += gov.switches;
-        fm.fallback_ns += gov.fallback_ns(horizon);
-        fm.quarantines += gov.quarantines;
-    }
-    if model.recovery.is_some() {
-        for group in &model.groups {
-            fm.recovered += group.dispatcher.stats.recovered;
-            fm.recovery_duplicates += group.dispatcher.stats.late_duplicates;
-            if let Some(h) = group.dispatcher.health() {
-                fm.suspicions += h.stats.suspicions;
-                fm.readmissions += h.stats.readmissions;
-            }
-        }
-    }
-    metrics.dropped = ring_dropped + fm.link_lost() + shed;
-    if probe.enabled {
-        metrics.stages = Some(engine.probe_mut().report(horizon));
-    }
-    crate::common::close_invariants(engine.take_invariants(), horizon, &metrics);
-    MultiRunMetrics { metrics, imbalance }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::ServerSystem;
     use workload::ServiceDist;
 
     fn run(spec: WorkloadSpec, cfg: MultiShinjukuConfig) -> MultiRunMetrics {
-        run_probed(spec, cfg, ProbeConfig::disabled())
+        run_with_imbalance(spec, cfg)
     }
 
     fn quick_spec(rps: f64, dist: ServiceDist) -> WorkloadSpec {
@@ -918,7 +642,6 @@ mod tests {
 
     #[test]
     fn only_the_vanilla_entry_point_falls_back() {
-        use crate::api::ServerSystem;
         use crate::common::StalenessPolicy;
         use crate::shinjuku::ShinjukuConfig;
         use sim_core::FaultConfig;
@@ -941,23 +664,20 @@ mod tests {
         let run_both = |res: ResilienceConfig| {
             (
                 vanilla.run_resilient(spec, ProbeConfig::disabled(), res),
-                run_resilient_probed(spec, multi, ProbeConfig::disabled(), res),
+                multi.run_resilient(spec, ProbeConfig::disabled(), res),
             )
         };
 
         let (v, m) = run_both(res);
         assert!(v.faults.fallback_ns > 0, "vanilla never fell back: {v:?}");
-        assert_eq!(m.metrics.faults.fallback_ns, 0, "multi fell back: {m:?}");
+        assert_eq!(m.faults.fallback_ns, 0, "multi fell back: {m:?}");
 
         let (v, m) = run_both(ResilienceConfig {
             fallback: None,
             ..res
         });
-        assert_eq!(
-            v, m.metrics,
-            "without a fallback policy the entry points agree"
-        );
-        assert!((m.imbalance - 1.0).abs() < 1e-9);
+        assert_eq!(v, m, "without a fallback policy the configs agree");
+        assert!((run(spec, multi).imbalance - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -1024,28 +744,18 @@ mod tests {
             MultiShinjukuConfig::split(16, 2).workers_per_group,
             SimTime::ZERO + SimDuration::from_millis(10),
         );
-        let run = || {
-            run_resilient_probed(
-                spec,
-                MultiShinjukuConfig::split(16, 2),
-                ProbeConfig::disabled(),
-                res,
-            )
-        };
+        let run =
+            || MultiShinjukuConfig::split(16, 2).run_resilient(spec, ProbeConfig::disabled(), res);
         let m = run();
-        let f = &m.metrics.faults;
+        let f = &m.faults;
         assert_eq!(f.unaccounted(), 0, "request ledger leaks: {f:?}");
         assert!(f.in_pipe() < 200, "attempt residue beyond pipeline: {f:?}");
         assert!(f.retries > 0, "loss never triggered a retry");
         assert!(f.stranded >= 1, "crash stranded nothing: {f:?}");
-        assert!(
-            m.metrics.completed > 1_000,
-            "goodput collapsed: {}",
-            m.metrics.row()
-        );
+        assert!(m.completed > 1_000, "goodput collapsed: {}", m.row());
         let b = run();
-        assert_eq!(m.metrics.faults, b.metrics.faults);
-        assert_eq!(m.metrics.p99, b.metrics.p99);
+        assert_eq!(m.faults, b.faults);
+        assert_eq!(m.p99, b.p99);
     }
 
     #[test]

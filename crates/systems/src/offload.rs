@@ -31,17 +31,17 @@ use cpu_model::{
     CROSS_SOCKET_PENALTY,
 };
 use net_wire::{FrameSpec, MsgKind, MsgRepr, ParsedFrame};
-use nic_model::{packet_lines, Ddio, IfaceId, Link, NicDevice, Placement, QueueSteering};
+use nic_model::{packet_lines, Ddio, IfaceId, NicDevice, Placement, QueueSteering};
 use nicsched::{
     params, AdmitOutcome, Assignment, CoreSelector, Dispatcher, LeastOutstanding, NicProfile,
-    PolicySpec, PreemptDecision, RecoveryPolicy, SchedPolicy, SocketAffinity, Task,
+    PolicySpec, SchedPolicy, SocketAffinity, Task,
 };
-use sim_core::{Ctx, Engine, FaultPlan, Model, Probe, ProbeConfig, Rng, SimDuration, SimTime};
+use sim_core::{Ctx, Model, SimDuration, SimTime};
 use workload::{RunMetrics, WorkloadSpec};
 
 use crate::common::{
-    assemble_metrics, scale_duration, AddressPlan, Client, FeedbackGovernor, ResilienceConfig,
-    TimeoutOutcome, FAULT_SEED_SALT,
+    dispatcher_ledger, mean_utilization, msg_task, start_check, stretched, task_msg, AddressPlan,
+    Assembly, ClientEv, FrontEnd, FrontKeys, JitPacing, Liveness, ResilienceConfig,
 };
 
 // Every probe name this assembly records, registered once per run.
@@ -91,6 +91,9 @@ sim_core::probe_keys! {
     }
 }
 
+/// The client front end's keys in this assembly's probe-name table.
+const FRONT_KEYS: FrontKeys = FrontKeys::new(key::NAMES, key::PATH_6_RESPONSE);
+
 /// Configuration of a Shinjuku-Offload instance.
 #[derive(Debug, Clone, Copy)]
 pub struct OffloadConfig {
@@ -121,10 +124,6 @@ pub struct OffloadConfig {
     /// load into responses and the client paces itself toward this queue
     /// depth. `None` = the paper's pure open loop.
     pub jit_target_depth: Option<u64>,
-    /// Per-frame corruption probability on the client↔server wire
-    /// (request and response frames only — the in-machine dispatcher paths
-    /// are PCIe, not a lossy cable). 0.0 = pristine.
-    pub wire_loss: f64,
     /// Override the client's arrival process (default: Poisson at
     /// `spec.offered_rps`). Lets experiments drive bursty MMPP arrivals.
     pub arrivals: Option<workload::ArrivalProcess>,
@@ -143,18 +142,15 @@ impl OffloadConfig {
             dual_socket: false,
             socket_aware: false,
             jit_target_depth: None,
-            wire_loss: 0.0,
             arrivals: None,
         }
     }
 }
 
 /// Events of the offload model.
-enum Ev {
-    /// Client emits its next request.
-    ClientSend,
-    /// A frame from the client link reaches the NIC.
-    WireToNic(Bytes),
+pub(crate) enum Ev {
+    /// The client and its wires; a request frame reaches the NIC.
+    Client(ClientEv),
     /// The networker stage finished parsing one frame.
     NetworkerDone,
     /// An item crosses ARM shared memory into the queue manager.
@@ -180,22 +176,13 @@ enum Ev {
     RxNotif(Bytes),
     /// The RX stage finished parsing one notification.
     RxDone,
-    /// A response frame reaches the client.
-    ClientResp(Bytes),
-    /// A client retransmit timer fires for one attempt of one request.
-    ClientTimeout {
-        /// Request id the timer guards.
-        req_id: u64,
-        /// Attempt number the timer was armed for (stale if superseded).
-        attempt: u32,
-    },
     /// A worker's periodic liveness heartbeat to the NIC-side governor.
     Heartbeat(usize),
 }
 
 /// Items crossing into the queue-manager core.
 #[derive(Debug, Clone, Copy)]
-enum QmItem {
+pub(crate) enum QmItem {
     NewTask(Task),
     Done {
         worker: usize,
@@ -215,8 +202,6 @@ enum QmItem {
 struct Stage<T> {
     queue: VecDeque<T>,
     busy: bool,
-    /// Items processed (for stage-throughput assertions).
-    processed: u64,
 }
 
 impl<T> Stage<T> {
@@ -224,7 +209,6 @@ impl<T> Stage<T> {
         Stage {
             queue: VecDeque::new(),
             busy: false,
-            processed: 0,
         }
     }
 }
@@ -247,12 +231,9 @@ struct Running {
     run: SimDuration,
 }
 
-struct Offload {
+pub(crate) struct Offload {
     cfg: OffloadConfig,
-    client: Client,
-    horizon: SimTime,
-    client_link: Link,
-    server_link: Link,
+    front: FrontEnd<Ev>,
     nic: NicDevice,
     disp_iface: IfaceId,
     worker_iface: Vec<IfaceId>,
@@ -278,176 +259,13 @@ struct Offload {
 
     preemptions: u64,
 
-    governor: Option<FeedbackGovernor>,
-    /// NIC-side failure-detection policy, when recovery is enabled. The
-    /// dispatcher owns the tracker; this copy drives the heartbeat cadence.
-    recovery: Option<RecoveryPolicy>,
-    /// Request frames lost on the client→NIC wire (i.i.d. + burst).
-    req_lost: u64,
-    /// Response/NACK frames lost on the server→client wire.
-    resp_lost: u64,
+    /// Stale-feedback governor and lease heartbeats over the workers.
+    liveness: Liveness,
     /// Work that died with a crashed worker (running or in its ring).
     stranded: u64,
-    /// Early NACK frames sent for shed requests.
-    nacks: u64,
 }
 
 impl Offload {
-    fn new(spec: WorkloadSpec, cfg: OffloadConfig, res: ResilienceConfig) -> Offload {
-        let mut master = Rng::new(spec.seed);
-        let mut client = Client::new(spec, &mut master);
-        if let Some(target) = cfg.jit_target_depth {
-            client.pacing = Some(crate::common::JitPacing::new(target));
-        }
-        if let Some(process) = cfg.arrivals {
-            client.override_arrivals(process, &mut master);
-        }
-        if let Some(policy) = res.retry {
-            client.enable_retries(policy);
-        }
-        // The resilience plan's loss rate overrides the per-config knob.
-        let wire_loss = if res.faults.wire_loss > 0.0 {
-            res.faults.wire_loss
-        } else {
-            cfg.wire_loss
-        };
-        let (client_link, server_link) = if wire_loss > 0.0 {
-            (
-                Link::ten_gbe().with_loss(wire_loss, master.fork()),
-                Link::ten_gbe().with_loss(wire_loss, master.fork()),
-            )
-        } else {
-            (Link::ten_gbe(), Link::ten_gbe())
-        };
-
-        let mut nic = NicDevice::new(params::PCIE_DMA);
-        let disp_iface = nic.add_iface(
-            AddressPlan::dispatcher_mac(),
-            1,
-            1024,
-            QueueSteering::Single,
-        );
-        let mut worker_iface = Vec::new();
-        let mut worker_by_mac = BTreeMap::new();
-        for w in 0..cfg.workers {
-            let mac = AddressPlan::worker_mac(w);
-            worker_iface.push(nic.add_iface(mac, 1, 128, QueueSteering::Single));
-            worker_by_mac.insert(mac, w);
-        }
-
-        let t0 = SimTime::ZERO;
-        let workers = (0..cfg.workers)
-            .map(|w| Worker {
-                core: Core::new(CoreId(w as u32), CoreSpec::host_x86(), t0),
-                timer: OneShotTimer::new(),
-                running: None,
-                pending_placement: VecDeque::new(),
-                idle_since: Some(t0),
-            })
-            .collect();
-
-        let topology = if cfg.dual_socket {
-            Topology::dual(cfg.workers as u8)
-        } else {
-            Topology::single(cfg.workers as u8)
-        };
-        let selector: Box<dyn CoreSelector> = if cfg.dual_socket && cfg.socket_aware {
-            let sockets = (0..cfg.workers).map(|w| topology.socket_of(w)).collect();
-            Box::new(SocketAffinity::new(sockets, 0))
-        } else {
-            Box::new(LeastOutstanding)
-        };
-
-        let mut dispatcher = Dispatcher::new(
-            cfg.workers,
-            cfg.outstanding_cap,
-            cfg.policy.build(),
-            selector,
-        );
-        dispatcher.set_admission(res.admission);
-        if let Some(policy) = res.recovery {
-            dispatcher.enable_recovery(policy);
-        }
-        let governor = res
-            .fallback
-            .map(|p| FeedbackGovernor::new(cfg.workers, cfg.profile.from_worker, p));
-
-        Offload {
-            dispatcher,
-            topology,
-            cfg,
-            horizon: spec.horizon(),
-            client,
-            client_link,
-            server_link,
-            nic,
-            disp_iface,
-            worker_iface,
-            worker_by_mac,
-            networker: Stage::new(),
-            qm: Stage::new(),
-            tx: Stage::new(),
-            rx: Stage::new(),
-            task_meta: BTreeMap::new(),
-            workers,
-            ctx_pool: ContextPool::new(),
-            ctx_costs: ContextCosts::default(),
-            ddio: if cfg.ddio_l1 {
-                Ddio::informed_l1(4096)
-            } else {
-                Ddio::classic(4096)
-            },
-            host: CoreSpec::host_x86(),
-            preemptions: 0,
-            governor,
-            recovery: res.recovery,
-            req_lost: 0,
-            resp_lost: 0,
-            stranded: 0,
-            nacks: 0,
-        }
-    }
-
-    // ---- lossy wire helpers ---------------------------------------------
-
-    /// Transmit a client→NIC frame over the lossy request wire.
-    fn send_request(&mut self, spec: &FrameSpec, ctx: &mut Ctx<'_, Ev>) {
-        let payload_len = spec.frame_len() - net_wire::ethernet::HEADER_LEN;
-        let bytes = spec.build();
-        let now = ctx.now();
-        if ctx.faults().burst_frame_lost(now) {
-            self.req_lost += 1;
-            ctx.probe().count(key::WIRE_REQ_LOST);
-            return;
-        }
-        match self.client_link.transmit_lossy(ctx.now(), payload_len) {
-            Some(arrive) => ctx.schedule_at(arrive, Ev::WireToNic(bytes)),
-            None => {
-                self.req_lost += 1;
-                ctx.probe().count(key::WIRE_REQ_LOST);
-            }
-        }
-    }
-
-    /// Transmit a server→client frame (response or NACK) over the lossy
-    /// response wire, starting at `depart`.
-    fn send_response(&mut self, spec: &FrameSpec, depart: SimTime, ctx: &mut Ctx<'_, Ev>) {
-        let payload_len = spec.frame_len() - net_wire::ethernet::HEADER_LEN;
-        let bytes = spec.build();
-        if ctx.faults().burst_frame_lost(depart) {
-            self.resp_lost += 1;
-            ctx.probe().count(key::WIRE_RESP_LOST);
-            return;
-        }
-        match self.server_link.transmit_lossy(depart, payload_len) {
-            Some(arrive) => ctx.schedule_at(arrive, Ev::ClientResp(bytes)),
-            None => {
-                self.resp_lost += 1;
-                ctx.probe().count(key::WIRE_RESP_LOST);
-            }
-        }
-    }
-
     /// Per-stage compute cost under the configured profile.
     fn stage_cost(&self, host_cycles: u64) -> SimDuration {
         self.cfg.profile.compute.stage_cost(host_cycles)
@@ -502,24 +320,14 @@ impl Offload {
 
     /// Start the next stashed request on an idle worker, if any.
     fn worker_poll(&mut self, w: usize, ctx: &mut Ctx<'_, Ev>) {
-        if self.workers[w].running.is_some() {
-            return;
-        }
-        let now = ctx.now();
-        if ctx.faults().worker_crashed(w, now) {
-            return; // dead silicon never polls again
-        }
-        if let Some(resume) = ctx.faults().worker_stalled_until(w, now) {
-            ctx.schedule_at(resume, Ev::WorkerPoll(w));
+        if self.workers[w].running.is_some() || start_check(ctx, w, Ev::WorkerPoll(w)).is_some() {
             return;
         }
         let iface = self.worker_iface[w];
         let Some(frame) = self.nic.iface_mut(iface).rx[0].pop() else {
             self.workers[w].core.set_idle(ctx.now());
             ctx.probe().busy_i(key::WORKER, w, false);
-            if self.workers[w].idle_since.is_none() {
-                self.workers[w].idle_since = Some(ctx.now());
-            }
+            self.workers[w].idle_since.get_or_insert(ctx.now());
             return;
         };
         let ring_depth = self.nic.iface(iface).rx[0].len();
@@ -544,19 +352,7 @@ impl Offload {
             .pop_front()
             .unwrap_or(Placement::Dram);
 
-        let msg = parsed.msg;
-        let task = Task {
-            req_id: msg.req_id,
-            client_id: msg.client_id,
-            service: SimDuration::from_nanos(msg.service_ns),
-            remaining: SimDuration::from_nanos(msg.remaining_ns),
-            sent_at: SimTime::from_nanos(msg.sent_at_ns),
-            arrived_at: ctx.now(),
-            body_len: msg.body_len,
-            preemptions: 0,
-            // The policy's slice grant rode the Assign frame's grant byte.
-            preempt: PreemptDecision::from_grant_code(msg.grant_code),
-        };
+        let task = msg_task(&parsed.msg, ctx.now());
 
         // Overheads before useful work: parse, context spawn/restore,
         // first touch of the DMA'd payload, timer arming.
@@ -568,23 +364,20 @@ impl Offload {
         } else {
             SimDuration::ZERO
         };
+        let lines = packet_lines(net_wire::message::HEADER_LEN + task.body_len as usize);
         let mut overhead = params::WORKER_RX_COST
             + ContextPool::op_cost(ctx_op, &self.ctx_costs, &self.host)
-            + self.ddio.first_touch_from(
-                placement,
-                packet_lines(net_wire::message::HEADER_LEN + task.body_len as usize),
-                interconnect,
-            );
-        self.ddio.release(
-            placement,
-            packet_lines(net_wire::message::HEADER_LEN + task.body_len as usize),
-        );
+            + self.ddio.first_touch_from(placement, lines, interconnect);
+        self.ddio.release(placement, lines);
 
         // The policy's per-dispatch grant resolves against the configured
         // slice (`Inherit` — grant byte 0 — reproduces the static timer).
         let run = match task.preempt.resolve(self.cfg.time_slice) {
             Some(slice) => {
-                overhead += self.timer_set_cost();
+                // NIC-initiated interrupts need no worker-side arming.
+                if let InterruptPath::LocalTimer(mode) = self.cfg.profile.interrupt {
+                    overhead += mode.set_cost(&self.host);
+                }
                 // A NIC-initiated interrupt lands one transport latency
                 // after the slice expires, so the request overruns by that
                 // much — §3.4.4's argument against packet-based preemption.
@@ -598,15 +391,7 @@ impl Offload {
         ctx.probe().busy_i(key::WORKER, w, true);
         // A slowdown window stretches wall time; `run` stays in work units
         // so the finish/preempt decision at run end is unchanged.
-        let slow = {
-            let now = ctx.now();
-            ctx.faults().worker_slowdown(w, now)
-        };
-        let wall = if slow > 1.0 {
-            scale_duration(overhead + run, slow)
-        } else {
-            overhead + run
-        };
+        let wall = stretched(ctx, w, overhead + run);
         let worker = &mut self.workers[w];
         worker.core.set_busy(ctx.now());
         let end = ctx.now() + wall;
@@ -615,20 +400,12 @@ impl Offload {
         ctx.schedule_at(end, Ev::WorkerRunEnd { worker: w, gen });
     }
 
-    fn timer_set_cost(&self) -> SimDuration {
-        match self.cfg.profile.interrupt {
-            InterruptPath::LocalTimer(mode) => mode.set_cost(&self.host),
-            // NIC-initiated interrupts need no worker-side arming.
-            _ => SimDuration::ZERO,
-        }
-    }
-
     fn preempt_receive_cost(&self) -> SimDuration {
         self.cfg.profile.interrupt.receive_cost(&self.host)
     }
 
     /// Build the notification frame a worker sends to the dispatcher.
-    fn notif_spec(&self, w: usize, msg: MsgRepr) -> FrameSpec {
+    fn notif_spec(w: usize, msg: MsgRepr) -> FrameSpec {
         FrameSpec {
             src_mac: AddressPlan::worker_mac(w),
             dst_mac: AddressPlan::dispatcher_mac(),
@@ -653,58 +430,33 @@ impl Offload {
             ctx.probe().count(key::WORKER_STRANDED);
             return;
         }
-        let finished = task.remaining <= run;
-
-        if finished {
+        if task.remaining <= run {
             ctx.probe().count(key::WORKER_COMPLETED);
             ctx.probe().mark(task.req_id, key::PATH_5_WORKER_DONE);
             // Response to the client and Done to the dispatcher: two
             // packets, built back to back (§3.4.3).
             let resp_built = now + params::WORKER_TX_COST;
-            let resp = FrameSpec {
-                src_mac: AddressPlan::worker_mac(w),
-                dst_mac: AddressPlan::client_mac(),
-                src: AddressPlan::worker_ep(w),
-                dst: AddressPlan::client_ep(),
-                msg: MsgRepr {
-                    kind: MsgKind::Response,
-                    req_id: task.req_id,
-                    client_id: task.client_id,
-                    service_ns: task.service.as_nanos(),
-                    // The NIC sees every departing response; in the §5.2
-                    // co-design it stamps its instantaneous scheduler load
-                    // (queued + in flight) for the client's pacer.
-                    remaining_ns: self.dispatcher.queue_len() as u64
-                        + self.dispatcher.total_outstanding() as u64,
-                    sent_at_ns: task.sent_at.as_nanos(),
-                    body_len: task.body_len,
-                    grant_code: 0,
-                },
-            };
+            // The NIC sees every departing response; in the §5.2 co-design
+            // it stamps its instantaneous scheduler load (queued + in
+            // flight) for the client's pacer.
+            let load =
+                self.dispatcher.queue_len() as u64 + self.dispatcher.total_outstanding() as u64;
+            let resp = AddressPlan::to_client(
+                AddressPlan::worker_mac(w),
+                AddressPlan::worker_ep(w),
+                task_msg(MsgKind::Response, &task, load, task.body_len),
+            );
             let depart = resp_built + self.nic.dma_latency;
-            self.send_response(&resp, depart, ctx);
+            self.front.send_response(&resp, depart, ctx);
 
             let notif_built = resp_built + params::WORKER_TX_COST;
-            let done = self.notif_spec(
-                w,
-                MsgRepr {
-                    kind: MsgKind::Done,
-                    req_id: task.req_id,
-                    client_id: task.client_id,
-                    service_ns: task.service.as_nanos(),
-                    remaining_ns: 0,
-                    sent_at_ns: task.sent_at.as_nanos(),
-                    body_len: 0,
-                    grant_code: 0,
-                },
-            );
+            let done = Offload::notif_spec(w, task_msg(MsgKind::Done, &task, 0, 0));
             ctx.schedule_at(
                 notif_built + self.cfg.profile.from_worker,
                 Ev::RxNotif(done.build()),
             );
 
             self.ctx_pool.discard(task.req_id);
-            self.workers[w].core.requests_run += 1;
             // The worker is free once both packets are built; it
             // immediately pulls the next stashed request (§3.4.5).
             ctx.schedule_at(notif_built, Ev::WorkerPoll(w));
@@ -718,19 +470,7 @@ impl Offload {
                 // release the worker slot with a Done notification.
                 ctx.probe().count(key::WORKER_DUP_KILLED);
                 let free_at = now + self.preempt_receive_cost() + params::WORKER_TX_COST;
-                let done = self.notif_spec(
-                    w,
-                    MsgRepr {
-                        kind: MsgKind::Done,
-                        req_id: after.req_id,
-                        client_id: after.client_id,
-                        service_ns: after.service.as_nanos(),
-                        remaining_ns: 0,
-                        sent_at_ns: after.sent_at.as_nanos(),
-                        body_len: 0,
-                        grant_code: 0,
-                    },
-                );
+                let done = Offload::notif_spec(w, task_msg(MsgKind::Done, &after, 0, 0));
                 ctx.schedule_at(
                     free_at + self.cfg.profile.from_worker,
                     Ev::RxNotif(done.build()),
@@ -745,19 +485,9 @@ impl Offload {
                 + self.preempt_receive_cost()
                 + self.ctx_costs.save(&self.host)
                 + params::WORKER_TX_COST;
-            let notif = self.notif_spec(
-                w,
-                MsgRepr {
-                    kind: MsgKind::Preempted,
-                    req_id: after.req_id,
-                    client_id: after.client_id,
-                    service_ns: after.service.as_nanos(),
-                    remaining_ns: after.remaining.as_nanos(),
-                    sent_at_ns: after.sent_at.as_nanos(),
-                    body_len: after.body_len,
-                    grant_code: 0,
-                },
-            );
+            let remaining = after.remaining.as_nanos();
+            let msg = task_msg(MsgKind::Preempted, &after, remaining, after.body_len);
+            let notif = Offload::notif_spec(w, msg);
             ctx.schedule_at(
                 free_at + self.cfg.profile.from_worker,
                 Ev::RxNotif(notif.build()),
@@ -772,28 +502,13 @@ impl Model for Offload {
 
     fn check_invariants(&self, now: SimTime, inv: &mut sim_core::InvariantChecker) {
         self.nic.check_invariants(now, inv);
-        self.client.check_invariants(now, inv);
+        self.front.client.check_invariants(now, inv);
     }
 
     fn handle(&mut self, event: Ev, ctx: &mut Ctx<'_, Ev>) {
         match event {
-            Ev::ClientSend => {
-                if ctx.now() >= self.horizon {
-                    return;
-                }
-                let spec = self.client.make_request(ctx.now());
-                let req_id = spec.msg.req_id;
-                ctx.probe().count(key::CLIENT_SENT);
-                ctx.probe().mark(req_id, key::PATH_0_CLIENT_SEND);
-                self.send_request(&spec, ctx);
-                if let Some((attempt, timeout)) = self.client.arm_timeout(req_id) {
-                    ctx.schedule_in(timeout, Ev::ClientTimeout { req_id, attempt });
-                }
-                let gap = self.client.next_gap();
-                ctx.schedule_in(gap, Ev::ClientSend);
-            }
-            Ev::WireToNic(bytes) => {
-                let Ok(parsed) = ParsedFrame::parse(&bytes) else {
+            Ev::Client(ev) => {
+                let Some((bytes, parsed)) = self.front.handle(ev, ctx) else {
                     return;
                 };
                 if let Some(d) = self.nic.steer(&parsed) {
@@ -808,7 +523,6 @@ impl Model for Offload {
             }
             Ev::NetworkerDone => {
                 self.networker.busy = false;
-                self.networker.processed += 1;
                 ctx.probe().busy(key::NETWORKER, false);
                 ctx.probe().count(key::NETWORKER_PARSED);
                 if let Some(frame) = self.nic.iface_mut(self.disp_iface).rx[0].pop() {
@@ -818,14 +532,7 @@ impl Model for Offload {
                         if parsed.msg.kind == MsgKind::Request {
                             let msg = parsed.msg;
                             ctx.probe().mark(msg.req_id, key::PATH_1_NIC_PARSE);
-                            let task = Task::new(
-                                msg.req_id,
-                                msg.client_id,
-                                SimDuration::from_nanos(msg.service_ns),
-                                SimTime::from_nanos(msg.sent_at_ns),
-                                ctx.now(),
-                                msg.body_len,
-                            );
+                            let task = msg_task(&msg, ctx.now());
                             ctx.schedule_in(
                                 self.cfg.profile.stage_hop,
                                 Ev::QmPush(QmItem::NewTask(task)),
@@ -842,7 +549,6 @@ impl Model for Offload {
             }
             Ev::QmDone => {
                 self.qm.busy = false;
-                self.qm.processed += 1;
                 ctx.probe().busy(key::QM, false);
                 if let Some(item) = self.qm.queue.pop_front() {
                     ctx.probe().depth(key::QM_INBOX, self.qm.queue.len());
@@ -858,25 +564,8 @@ impl Model for Offload {
                             AdmitOutcome::Shed { nack } => {
                                 ctx.probe().count(key::QM_SHED);
                                 if nack {
-                                    self.nacks += 1;
-                                    let spec = FrameSpec {
-                                        src_mac: AddressPlan::dispatcher_mac(),
-                                        dst_mac: AddressPlan::client_mac(),
-                                        src: AddressPlan::dispatcher_ep(),
-                                        dst: AddressPlan::client_ep(),
-                                        msg: MsgRepr {
-                                            kind: MsgKind::Nack,
-                                            req_id: task.req_id,
-                                            client_id: task.client_id,
-                                            service_ns: 0,
-                                            remaining_ns: 0,
-                                            sent_at_ns: task.sent_at.as_nanos(),
-                                            body_len: 0,
-                                            grant_code: 0,
-                                        },
-                                    };
                                     let depart = now + self.nic.dma_latency;
-                                    self.send_response(&spec, depart, ctx);
+                                    self.front.send_nack(&task, depart, ctx);
                                 }
                                 Vec::new()
                             }
@@ -909,7 +598,6 @@ impl Model for Offload {
             }
             Ev::TxDone => {
                 self.tx.busy = false;
-                self.tx.processed += 1;
                 ctx.probe().busy(key::TX, false);
                 ctx.probe().count(key::TX_BUILT);
                 if let Some(a) = self.tx.queue.pop_front() {
@@ -922,16 +610,10 @@ impl Model for Offload {
                         src: AddressPlan::dispatcher_ep(),
                         dst: AddressPlan::worker_ep(a.worker),
                         msg: MsgRepr {
-                            kind: MsgKind::Assign,
-                            req_id: t.req_id,
-                            client_id: t.client_id,
-                            service_ns: t.service.as_nanos(),
-                            remaining_ns: t.remaining.as_nanos(),
-                            sent_at_ns: t.sent_at.as_nanos(),
-                            body_len: t.body_len,
                             // The slice grant must survive the wire: the
                             // worker rebuilds its Task from this frame.
                             grant_code: t.preempt.grant_code(),
+                            ..task_msg(MsgKind::Assign, &t, t.remaining.as_nanos(), t.body_len)
                         },
                     };
                     ctx.schedule_in(
@@ -981,7 +663,6 @@ impl Model for Offload {
             }
             Ev::RxDone => {
                 self.rx.busy = false;
-                self.rx.processed += 1;
                 ctx.probe().busy(key::RX, false);
                 ctx.probe().count(key::RX_NOTIFS);
                 if let Some(bytes) = self.rx.queue.pop_front() {
@@ -1002,17 +683,7 @@ impl Model for Offload {
                                         .unwrap_or(ctx.now());
                                     Some(QmItem::Preempted {
                                         worker: w,
-                                        task: Task {
-                                            req_id: msg.req_id,
-                                            client_id: msg.client_id,
-                                            service: SimDuration::from_nanos(msg.service_ns),
-                                            remaining: SimDuration::from_nanos(msg.remaining_ns),
-                                            sent_at: SimTime::from_nanos(msg.sent_at_ns),
-                                            arrived_at: arrived,
-                                            body_len: msg.body_len,
-                                            preemptions: 0,
-                                            preempt: PreemptDecision::Inherit,
-                                        },
+                                        task: msg_task(&msg, arrived),
                                     })
                                 }
                                 MsgKind::Heartbeat => Some(QmItem::Heartbeat { worker: w }),
@@ -1026,98 +697,34 @@ impl Model for Offload {
                 }
                 self.start_rx(ctx);
             }
-            Ev::ClientResp(bytes) => {
-                if let Ok(parsed) = ParsedFrame::parse(&bytes) {
-                    if parsed.msg.kind == MsgKind::Nack {
-                        ctx.probe().count(key::CLIENT_NACKS);
-                        let req_id = parsed.msg.req_id;
-                        if let TimeoutOutcome::Retry {
-                            frame,
-                            attempt,
-                            timeout,
-                        } = self.client.on_nack(ctx.now(), req_id)
-                        {
-                            ctx.probe().count(key::CLIENT_RETRIES);
-                            self.send_request(&frame, ctx);
-                            ctx.schedule_in(timeout, Ev::ClientTimeout { req_id, attempt });
-                        }
-                        return;
-                    }
-                    ctx.probe().count(key::CLIENT_RESPONSES);
-                    ctx.probe().finish(parsed.msg.req_id, key::PATH_6_RESPONSE);
-                    self.client.on_response(ctx.now(), &parsed);
-                }
-            }
-            Ev::ClientTimeout { req_id, attempt } => {
-                if let TimeoutOutcome::Retry {
-                    frame,
-                    attempt,
-                    timeout,
-                } = self.client.on_timeout(ctx.now(), req_id, attempt)
-                {
-                    ctx.probe().count(key::CLIENT_RETRIES);
-                    self.send_request(&frame, ctx);
-                    ctx.schedule_in(timeout, Ev::ClientTimeout { req_id, attempt });
-                }
-            }
             Ev::Heartbeat(w) => {
-                let now = ctx.now();
-                if now >= self.horizon {
+                if ctx.now() >= self.front.horizon {
                     return;
                 }
-                let silenced =
-                    ctx.faults().worker_down(w, now) || ctx.faults().feedback_blackout(now);
-                let occupancy = self.dispatcher.outstanding(w);
                 let busy = self.workers[w].running.is_some();
-                let mut assignments = Vec::new();
-                let mut next = None;
-                if let Some(gov) = self.governor.as_mut() {
-                    if !silenced {
-                        gov.report(now, w, occupancy, busy);
-                    }
-                    let was_degraded = gov.is_degraded();
-                    gov.evaluate(now, &mut self.dispatcher);
-                    if gov.is_degraded() != was_degraded {
-                        ctx.probe().count(key::FALLBACK_SWITCH);
-                    }
-                    assignments = self.dispatcher.kick(now);
-                    next = Some(gov.policy().heartbeat);
-                }
-                if let Some(policy) = self.recovery {
-                    // Worker side: lease renewal rides a real Heartbeat
-                    // frame over the notification wire — a silenced worker
-                    // (crashed, stalled, or blacked out) cannot renew.
-                    if !silenced {
-                        let hb = self.notif_spec(
-                            w,
-                            MsgRepr {
-                                kind: MsgKind::Heartbeat,
-                                req_id: 0,
-                                client_id: 0,
-                                service_ns: 0,
-                                remaining_ns: occupancy as u64,
-                                sent_at_ns: now.as_nanos(),
-                                body_len: 0,
-                                grant_code: 0,
-                            },
-                        );
-                        ctx.schedule_at(
-                            now + self.cfg.profile.from_worker,
-                            Ev::RxNotif(hb.build()),
-                        );
-                    }
-                    // NIC side: expire leases and re-dispatch orphans on the
-                    // same tick, so detection shares the indexed event queue
-                    // with everything else (no wall clocks).
-                    let recovered = self.dispatcher.check_health(now);
-                    if !recovered.is_empty() {
-                        ctx.probe().count(key::RECOVERY_REDISPATCH);
-                    }
-                    assignments.extend(recovered);
-                    next = Some(
-                        next.map_or(policy.heartbeat, |n: SimDuration| n.min(policy.heartbeat)),
+                let from_worker = self.cfg.profile.from_worker;
+                // Lease renewal rides a real Heartbeat frame over the
+                // notification wire.
+                let renew = |ctx: &mut Ctx<'_, Ev>, occupancy: u32| {
+                    let now = ctx.now();
+                    let hb = Offload::notif_spec(
+                        w,
+                        MsgRepr {
+                            kind: MsgKind::Heartbeat,
+                            req_id: 0,
+                            client_id: 0,
+                            service_ns: 0,
+                            remaining_ns: occupancy as u64,
+                            sent_at_ns: now.as_nanos(),
+                            body_len: 0,
+                            grant_code: 0,
+                        },
                     );
-                }
+                    ctx.schedule_at(now + from_worker, Ev::RxNotif(hb.build()));
+                };
+                let (assignments, next) =
+                    self.liveness
+                        .lease_tick(ctx, &mut self.dispatcher, (w, w), busy, renew);
                 self.emit_assignments(assignments, ctx);
                 if let Some(interval) = next {
                     ctx.schedule_in(interval, Ev::Heartbeat(w));
@@ -1127,76 +734,127 @@ impl Model for Offload {
     }
 }
 
-/// Run a Shinjuku-Offload simulation with stage-level observability.
-pub fn run_probed(spec: WorkloadSpec, cfg: OffloadConfig, probe: ProbeConfig) -> RunMetrics {
-    run_resilient_probed(spec, cfg, probe, ResilienceConfig::default())
-}
+impl Assembly for Offload {
+    type Config = OffloadConfig;
+    const PROBE_NAMES: &'static [&'static str] = key::NAMES;
 
-/// Run a Shinjuku-Offload simulation with fault injection, client
-/// retries, admission control, and the stale-feedback governor layered
-/// over the fault-free assembly.
-pub fn run_resilient_probed(
-    spec: WorkloadSpec,
-    cfg: OffloadConfig,
-    probe: ProbeConfig,
-    res: ResilienceConfig,
-) -> RunMetrics {
-    let mut engine = Engine::new(Offload::new(spec, cfg, res));
-    engine.set_probe(Probe::new(probe).register(key::NAMES));
-    engine.set_invariants(crate::common::checker_for(&res));
-    if res.is_active() {
-        engine.set_faults(FaultPlan::new(res.faults, spec.seed ^ FAULT_SEED_SALT));
-    }
-    engine.schedule_at(SimTime::ZERO, Ev::ClientSend);
-    if engine.model().governor.is_some() || engine.model().recovery.is_some() {
+    fn build(spec: WorkloadSpec, cfg: &OffloadConfig, res: ResilienceConfig) -> Offload {
+        let cfg = *cfg;
+        let mut front = FrontEnd::new(spec, &res, cfg.arrivals, FRONT_KEYS, Ev::Client);
+        front.client.pacing = cfg.jit_target_depth.map(JitPacing::new);
+
+        let mut nic = NicDevice::new(params::PCIE_DMA);
+        let disp_iface = nic.add_iface(
+            AddressPlan::dispatcher_mac(),
+            1,
+            1024,
+            QueueSteering::Single,
+        );
+        let mut worker_iface = Vec::new();
+        let mut worker_by_mac = BTreeMap::new();
         for w in 0..cfg.workers {
-            engine.schedule_at(SimTime::ZERO, Ev::Heartbeat(w));
+            let mac = AddressPlan::worker_mac(w);
+            worker_iface.push(nic.add_iface(mac, 1, 128, QueueSteering::Single));
+            worker_by_mac.insert(mac, w);
+        }
+
+        let t0 = SimTime::ZERO;
+        let workers = (0..cfg.workers)
+            .map(|w| Worker {
+                core: Core::new(CoreId(w as u32), CoreSpec::host_x86(), t0),
+                timer: OneShotTimer::new(),
+                running: None,
+                pending_placement: VecDeque::new(),
+                idle_since: Some(t0),
+            })
+            .collect();
+
+        let topology = if cfg.dual_socket {
+            Topology::dual(cfg.workers as u8)
+        } else {
+            Topology::single(cfg.workers as u8)
+        };
+        let selector: Box<dyn CoreSelector> = if cfg.dual_socket && cfg.socket_aware {
+            let sockets = (0..cfg.workers).map(|w| topology.socket_of(w)).collect();
+            Box::new(SocketAffinity::new(sockets, 0))
+        } else {
+            Box::new(LeastOutstanding)
+        };
+
+        let mut dispatcher = Dispatcher::new(
+            cfg.workers,
+            cfg.outstanding_cap,
+            cfg.policy.build(),
+            selector,
+        );
+        dispatcher.set_admission(res.admission);
+        if let Some(policy) = res.recovery {
+            dispatcher.enable_recovery(policy);
+        }
+
+        Offload {
+            dispatcher,
+            topology,
+            cfg,
+            front,
+            nic,
+            disp_iface,
+            worker_iface,
+            worker_by_mac,
+            networker: Stage::new(),
+            qm: Stage::new(),
+            tx: Stage::new(),
+            rx: Stage::new(),
+            task_meta: BTreeMap::new(),
+            workers,
+            ctx_pool: ContextPool::new(),
+            ctx_costs: ContextCosts::default(),
+            ddio: if cfg.ddio_l1 {
+                Ddio::informed_l1(4096)
+            } else {
+                Ddio::classic(4096)
+            },
+            host: CoreSpec::host_x86(),
+            preemptions: 0,
+            liveness: Liveness::new(
+                &res,
+                cfg.workers,
+                cfg.profile.from_worker,
+                (key::FALLBACK_SWITCH, key::RECOVERY_REDISPATCH),
+            ),
+            stranded: 0,
         }
     }
-    engine.run_until(spec.horizon());
-    let horizon = spec.horizon();
-    let model = engine.model();
-    let util = model
-        .workers
-        .iter()
-        .map(|w| w.core.utilization(horizon))
-        .sum::<f64>()
-        / model.workers.len() as f64;
-    let ring_dropped = model.nic.total_drops();
-    let mut metrics = assemble_metrics(&model.client, ring_dropped, model.preemptions, util);
-    let fm = &mut metrics.faults;
-    fm.req_link_lost = model.req_lost;
-    fm.resp_link_lost = model.resp_lost;
-    fm.ring_dropped = ring_dropped;
-    fm.stranded = model.stranded;
-    fm.shed = model.dispatcher.stats.shed;
-    fm.nacks = model.nacks;
-    if let Some(gov) = &model.governor {
-        fm.fallback_switches = gov.switches;
-        fm.fallback_ns = gov.fallback_ns(horizon);
-        fm.quarantines = gov.quarantines;
+
+    fn front(&self) -> &FrontEnd<Ev> {
+        &self.front
     }
-    if let Some(h) = model.dispatcher.health() {
-        fm.recovered = model.dispatcher.stats.recovered;
-        fm.recovery_duplicates = model.dispatcher.stats.late_duplicates;
-        fm.suspicions = h.stats.suspicions;
-        fm.readmissions = h.stats.readmissions;
+
+    fn startup(&self) -> Vec<(SimTime, Ev)> {
+        let beating = (0..self.cfg.workers).filter(|_| self.liveness.is_on());
+        beating.map(|w| (SimTime::ZERO, Ev::Heartbeat(w))).collect()
     }
-    metrics.dropped = ring_dropped + fm.link_lost() + fm.shed;
-    if probe.enabled {
-        metrics.stages = Some(engine.probe_mut().report(horizon));
+
+    fn ledger(&self, horizon: SimTime, m: &mut RunMetrics) {
+        m.worker_utilization = mean_utilization(self.workers.iter().map(|w| &w.core), horizon);
+        m.preemptions = self.preemptions;
+        let fm = &mut m.faults;
+        fm.ring_dropped = self.nic.total_drops();
+        fm.stranded = self.stranded;
+        dispatcher_ledger(&self.dispatcher, fm);
+        self.liveness.ledger(horizon, fm);
     }
-    crate::common::close_invariants(engine.take_invariants(), horizon, &metrics);
-    metrics
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::ServerSystem;
+    use sim_core::ProbeConfig;
     use workload::ServiceDist;
 
     fn run(spec: WorkloadSpec, cfg: OffloadConfig) -> RunMetrics {
-        run_probed(spec, cfg, ProbeConfig::disabled())
+        cfg.run(spec, ProbeConfig::disabled())
     }
 
     fn quick_spec(rps: f64, dist: ServiceDist) -> WorkloadSpec {
@@ -1341,10 +999,12 @@ mod tests {
 #[cfg(test)]
 mod socket_tests {
     use super::*;
+    use crate::api::ServerSystem;
+    use sim_core::ProbeConfig;
     use workload::ServiceDist;
 
     fn run(spec: WorkloadSpec, cfg: OffloadConfig) -> RunMetrics {
-        run_probed(spec, cfg, ProbeConfig::disabled())
+        cfg.run(spec, ProbeConfig::disabled())
     }
 
     fn quick_spec(rps: f64) -> WorkloadSpec {
@@ -1441,10 +1101,12 @@ mod socket_tests {
 #[cfg(test)]
 mod jit_tests {
     use super::*;
+    use crate::api::ServerSystem;
+    use sim_core::ProbeConfig;
     use workload::ServiceDist;
 
     fn run(spec: WorkloadSpec, cfg: OffloadConfig) -> RunMetrics {
-        run_probed(spec, cfg, ProbeConfig::disabled())
+        cfg.run(spec, ProbeConfig::disabled())
     }
 
     fn over_capacity_spec() -> WorkloadSpec {
@@ -1517,10 +1179,13 @@ mod jit_tests {
 #[cfg(test)]
 mod robustness_tests {
     use super::*;
+    use crate::api::ServerSystem;
+    use sim_core::faults::FaultConfig;
+    use sim_core::ProbeConfig;
     use workload::{ArrivalProcess, ServiceDist};
 
     fn run(spec: WorkloadSpec, cfg: OffloadConfig) -> RunMetrics {
-        run_probed(spec, cfg, ProbeConfig::disabled())
+        cfg.run(spec, ProbeConfig::disabled())
     }
 
     fn quick_spec(rps: f64) -> WorkloadSpec {
@@ -1539,11 +1204,12 @@ mod robustness_tests {
         // Requests and responses each cross a 1%-lossy wire: expect ~2%
         // of round trips to fail — and nothing to wedge.
         let clean = run(quick_spec(300_000.0), OffloadConfig::paper(4, 4));
-        let lossy = run(
+        let lossy = OffloadConfig::paper(4, 4).run_resilient(
             quick_spec(300_000.0),
-            OffloadConfig {
-                wire_loss: 0.01,
-                ..OffloadConfig::paper(4, 4)
+            ProbeConfig::disabled(),
+            ResilienceConfig {
+                faults: FaultConfig::default().with_wire_loss(0.01),
+                ..ResilienceConfig::default()
             },
         );
         let ratio = lossy.achieved_rps / clean.achieved_rps;
@@ -1558,12 +1224,13 @@ mod robustness_tests {
 
     #[test]
     fn lossy_run_is_deterministic() {
-        let cfg = OffloadConfig {
-            wire_loss: 0.02,
-            ..OffloadConfig::paper(4, 4)
+        let cfg = OffloadConfig::paper(4, 4);
+        let res = ResilienceConfig {
+            faults: FaultConfig::default().with_wire_loss(0.02),
+            ..ResilienceConfig::default()
         };
-        let a = run(quick_spec(200_000.0), cfg);
-        let b = run(quick_spec(200_000.0), cfg);
+        let a = cfg.run_resilient(quick_spec(200_000.0), ProbeConfig::disabled(), res);
+        let b = cfg.run_resilient(quick_spec(200_000.0), ProbeConfig::disabled(), res);
         assert_eq!(a.completed, b.completed);
         assert_eq!(a.p99, b.p99);
     }
@@ -1574,12 +1241,7 @@ mod robustness_tests {
         // crashing mid-run, with retries and the staleness governor on.
         let spec = quick_spec(300_000.0);
         let res = crate::common::ResilienceConfig::loss_and_crash(1, SimTime::from_millis(10));
-        let m = run_resilient_probed(
-            spec,
-            OffloadConfig::paper(4, 4),
-            ProbeConfig::disabled(),
-            res,
-        );
+        let m = OffloadConfig::paper(4, 4).run_resilient(spec, ProbeConfig::disabled(), res);
         let f = &m.faults;
         assert_eq!(f.unaccounted(), 0, "request ledger must close: {f:?}");
         assert!(f.in_pipe() >= 0, "attempt ledger went negative: {f:?}");
@@ -1606,8 +1268,8 @@ mod robustness_tests {
         let spec = quick_spec(250_000.0);
         let res = crate::common::ResilienceConfig::loss_and_crash(0, SimTime::from_millis(8));
         let cfg = OffloadConfig::paper(4, 4);
-        let a = run_resilient_probed(spec, cfg, ProbeConfig::disabled(), res);
-        let b = run_resilient_probed(spec, cfg, ProbeConfig::disabled(), res);
+        let a = cfg.run_resilient(spec, ProbeConfig::disabled(), res);
+        let b = cfg.run_resilient(spec, ProbeConfig::disabled(), res);
         assert_eq!(a.completed, b.completed);
         assert_eq!(a.p99, b.p99);
         assert_eq!(a.faults, b.faults);
@@ -1624,12 +1286,7 @@ mod robustness_tests {
             fallback: Some(crate::common::StalenessPolicy::paper_default()),
             ..Default::default()
         };
-        let m = run_resilient_probed(
-            spec,
-            OffloadConfig::paper(4, 4),
-            ProbeConfig::disabled(),
-            res,
-        );
+        let m = OffloadConfig::paper(4, 4).run_resilient(spec, ProbeConfig::disabled(), res);
         let f = &m.faults;
         assert!(
             f.fallback_switches >= 1,
@@ -1657,18 +1314,16 @@ mod robustness_tests {
             retry: Some(workload::RetryPolicy::paper_default()),
             ..Default::default()
         };
-        let silent = run_resilient_probed(
+        let silent = OffloadConfig::paper(4, 4).run_resilient(
             spec,
-            OffloadConfig::paper(4, 4),
             ProbeConfig::disabled(),
             crate::common::ResilienceConfig {
                 admission: AdmissionPolicy::TailDrop { cap: 64 },
                 ..base
             },
         );
-        let nacked = run_resilient_probed(
+        let nacked = OffloadConfig::paper(4, 4).run_resilient(
             spec,
-            OffloadConfig::paper(4, 4),
             ProbeConfig::disabled(),
             crate::common::ResilienceConfig {
                 admission: AdmissionPolicy::NackShed { cap: 64 },

@@ -16,22 +16,21 @@
 //! semantics, configured with cap 1; the "hardware" is a compute model
 //! with near-zero stage costs.
 
-use bytes::Bytes;
 use cpu_model::{ContextCosts, ContextPool, Core, CoreId, CoreSpec};
-use net_wire::{FrameSpec, MsgKind, MsgRepr, ParsedFrame};
-use nic_model::Link;
-use nicsched::{params, Dispatcher, Fcfs, LeastOutstanding, RecoveryPolicy, Task};
-use sim_core::{Ctx, Engine, FaultPlan, Model, Probe, ProbeConfig, Rng, SimDuration, SimTime};
+use net_wire::MsgKind;
+use nicsched::{params, Dispatcher, Fcfs, LeastOutstanding, Task};
+use sim_core::{Ctx, Model, SimDuration, SimTime};
 use workload::{RunMetrics, WorkloadSpec};
 
 use crate::common::{
-    assemble_metrics, scale_duration, AddressPlan, Client, ResilienceConfig, TimeoutOutcome,
-    FAULT_SEED_SALT,
+    dispatcher_ledger, mean_utilization, msg_task, start_check, stretched, task_msg, AddressPlan,
+    Assembly, ClientEv, FrontEnd, FrontKeys, Halt, ResilienceConfig,
 };
 
 // Every probe name this assembly records, registered once per run.
 sim_core::probe_keys! {
     mod key {
+        CLIENT_NACKS = "client.nacks",
         CLIENT_RESPONSES = "client.responses",
         CLIENT_RETRIES = "client.retries",
         CLIENT_SENT = "client.sent",
@@ -53,6 +52,9 @@ sim_core::probe_keys! {
     }
 }
 
+/// The client front end's keys in this assembly's probe-name table.
+const FRONT_KEYS: FrontKeys = FrontKeys::new(key::NAMES, key::PATH_4_RESPONSE);
+
 /// Configuration of an RPCValet-style system.
 #[derive(Debug, Clone, Copy)]
 pub struct RpcValetConfig {
@@ -69,19 +71,13 @@ const HW_DISPATCH: SimDuration = SimDuration::from_nanos(8);
 /// no PCIe crossing ("putting the NIC 'close' to the cores", §2.1).
 const NI_TO_CORE: SimDuration = SimDuration::from_nanos(40);
 
-enum Ev {
-    ClientSend,
-    /// A request frame arrives at the integrated NI fabric.
-    NiArrive(Bytes),
+pub(crate) enum Ev {
+    /// The client and its wires; a request frame arrives at the
+    /// integrated NI fabric.
+    Client(ClientEv),
     /// The hardware queue issues a task to a core.
     Deliver(usize, Task),
     WorkerRunEnd(usize),
-    ClientResp(Bytes),
-    /// A client retransmit timer fires for one attempt of one request.
-    ClientTimeout {
-        req_id: u64,
-        attempt: u32,
-    },
     /// The integrated NI's periodic failure-detector sweep (recovery
     /// only). Lease renewal is hardware-observed core liveness — no
     /// heartbeat frames cross a wire in this design.
@@ -95,106 +91,18 @@ struct Worker {
     idle_since: Option<SimTime>,
 }
 
-struct RpcValet {
-    client: Client,
-    horizon: SimTime,
-    client_link: Link,
-    server_link: Link,
+pub(crate) struct RpcValet {
+    front: FrontEnd<Ev>,
     dispatcher: Dispatcher<Fcfs, LeastOutstanding>,
     workers: Vec<Worker>,
     ctx_pool: ContextPool,
     ctx_costs: ContextCosts,
     host: CoreSpec,
-
-    /// NIC-side failure-detection policy, when recovery is enabled.
-    recovery: Option<RecoveryPolicy>,
-    req_lost: u64,
-    resp_lost: u64,
+    /// Work that died with a crashed worker (running or delivered to it).
     stranded: u64,
 }
 
 impl RpcValet {
-    fn new(spec: WorkloadSpec, cfg: RpcValetConfig, res: ResilienceConfig) -> RpcValet {
-        let mut master = Rng::new(spec.seed);
-        let mut client = Client::new(spec, &mut master);
-        if let Some(policy) = res.retry {
-            client.enable_retries(policy);
-        }
-        let (client_link, server_link) = if res.faults.wire_loss > 0.0 {
-            (
-                Link::ten_gbe().with_loss(res.faults.wire_loss, master.fork()),
-                Link::ten_gbe().with_loss(res.faults.wire_loss, master.fork()),
-            )
-        } else {
-            (Link::ten_gbe(), Link::ten_gbe())
-        };
-        let t0 = SimTime::ZERO;
-        // One request in flight per core: RPCValet's N=1 design point,
-        // which its paper shows is optimal for its hardware queue.
-        let mut dispatcher = Dispatcher::new(cfg.workers, 1, Fcfs::new(), LeastOutstanding);
-        if let Some(policy) = res.recovery {
-            dispatcher.enable_recovery(policy);
-        }
-        RpcValet {
-            dispatcher,
-            horizon: spec.horizon(),
-            client,
-            client_link,
-            server_link,
-            workers: (0..cfg.workers)
-                .map(|w| Worker {
-                    core: Core::new(CoreId(w as u32), CoreSpec::host_x86(), t0),
-                    running: None,
-                    idle_since: Some(t0),
-                })
-                .collect(),
-            ctx_pool: ContextPool::new(),
-            ctx_costs: ContextCosts::default(),
-            host: CoreSpec::host_x86(),
-            recovery: res.recovery,
-            req_lost: 0,
-            resp_lost: 0,
-            stranded: 0,
-        }
-    }
-
-    /// Transmit a client→NI frame over the (possibly lossy) request wire.
-    fn send_request(&mut self, spec: &FrameSpec, ctx: &mut Ctx<'_, Ev>) {
-        let payload_len = spec.frame_len() - net_wire::ethernet::HEADER_LEN;
-        let bytes = spec.build();
-        let now = ctx.now();
-        if ctx.faults().burst_frame_lost(now) {
-            self.req_lost += 1;
-            ctx.probe().count(key::WIRE_REQ_LOST);
-            return;
-        }
-        match self.client_link.transmit_lossy(now, payload_len) {
-            Some(arrive) => ctx.schedule_at(arrive, Ev::NiArrive(bytes)),
-            None => {
-                self.req_lost += 1;
-                ctx.probe().count(key::WIRE_REQ_LOST);
-            }
-        }
-    }
-
-    /// Transmit an NI→client response starting at `depart`.
-    fn send_response(&mut self, spec: &FrameSpec, depart: SimTime, ctx: &mut Ctx<'_, Ev>) {
-        let payload_len = spec.frame_len() - net_wire::ethernet::HEADER_LEN;
-        let bytes = spec.build();
-        if ctx.faults().burst_frame_lost(depart) {
-            self.resp_lost += 1;
-            ctx.probe().count(key::WIRE_RESP_LOST);
-            return;
-        }
-        match self.server_link.transmit_lossy(depart, payload_len) {
-            Some(arrive) => ctx.schedule_at(arrive, Ev::ClientResp(bytes)),
-            None => {
-                self.resp_lost += 1;
-                ctx.probe().count(key::WIRE_RESP_LOST);
-            }
-        }
-    }
-
     fn emit(&mut self, assignments: Vec<nicsched::Assignment>, ctx: &mut Ctx<'_, Ev>) {
         for a in assignments {
             ctx.schedule_in(HW_DISPATCH + NI_TO_CORE, Ev::Deliver(a.worker, a.task));
@@ -206,7 +114,7 @@ impl Model for RpcValet {
     type Event = Ev;
 
     fn check_invariants(&self, now: SimTime, inv: &mut sim_core::InvariantChecker) {
-        self.client.check_invariants(now, inv);
+        self.front.client.check_invariants(now, inv);
         // Cap-1 hardware dispatch: a worker running a task must not also
         // be marked idle, or the idle-gap accounting double-books time.
         for (w, worker) in self.workers.iter().enumerate() {
@@ -222,23 +130,8 @@ impl Model for RpcValet {
 
     fn handle(&mut self, event: Ev, ctx: &mut Ctx<'_, Ev>) {
         match event {
-            Ev::ClientSend => {
-                if ctx.now() >= self.horizon {
-                    return;
-                }
-                let spec = self.client.make_request(ctx.now());
-                ctx.probe().count(key::CLIENT_SENT);
-                ctx.probe().mark(spec.msg.req_id, key::PATH_0_CLIENT_SEND);
-                let req_id = spec.msg.req_id;
-                self.send_request(&spec, ctx);
-                if let Some((attempt, timeout)) = self.client.arm_timeout(req_id) {
-                    ctx.schedule_in(timeout, Ev::ClientTimeout { req_id, attempt });
-                }
-                let gap = self.client.next_gap();
-                ctx.schedule_in(gap, Ev::ClientSend);
-            }
-            Ev::NiArrive(bytes) => {
-                let Ok(parsed) = ParsedFrame::parse(&bytes) else {
+            Ev::Client(ev) => {
+                let Some((_, parsed)) = self.front.handle(ev, ctx) else {
                     return;
                 };
                 if parsed.msg.kind != MsgKind::Request {
@@ -247,14 +140,7 @@ impl Model for RpcValet {
                 let m = parsed.msg;
                 ctx.probe().count(key::NI_REQUESTS);
                 ctx.probe().mark(m.req_id, key::PATH_1_NI_DISPATCH);
-                let task = Task::new(
-                    m.req_id,
-                    m.client_id,
-                    SimDuration::from_nanos(m.service_ns),
-                    SimTime::from_nanos(m.sent_at_ns),
-                    ctx.now(),
-                    m.body_len,
-                );
+                let task = msg_task(&m, ctx.now());
                 let assignments = self.dispatcher.on_request(ctx.now(), task);
                 let depth = self.dispatcher.queue_len();
                 ctx.probe().depth(key::NI_QUEUE, depth);
@@ -270,19 +156,16 @@ impl Model for RpcValet {
                     ctx.probe().count(key::WORKER_ZOMBIE_DROPPED);
                     return;
                 }
-                {
-                    let now = ctx.now();
-                    if ctx.faults().worker_crashed(w, now) {
+                match start_check(ctx, w, Ev::Deliver(w, task)) {
+                    None => {}
+                    Some(Halt::Stalled) => return,
+                    Some(Halt::Crashed) => {
                         // Delivered into a dead core. The hardware queue
                         // never sees a completion, so its cap-1 slot stays
                         // occupied and no further work lands here.
                         self.ctx_pool.discard(task.req_id);
                         self.stranded += 1;
                         ctx.probe().count(key::WORKER_STRANDED);
-                        return;
-                    }
-                    if let Some(resume) = ctx.faults().worker_stalled_until(w, now) {
-                        ctx.schedule_at(resume, Ev::Deliver(w, task));
                         return;
                     }
                 }
@@ -293,24 +176,12 @@ impl Model for RpcValet {
                 }
                 ctx.probe().mark(task.req_id, key::PATH_2_WORKER_START);
                 ctx.probe().busy_i(key::WORKER, w, true);
-                let overhead = ContextPool::op_cost(
-                    self.ctx_pool.begin(task.req_id),
-                    &self.ctx_costs,
-                    &self.host,
-                );
-                let slow = {
-                    let now = ctx.now();
-                    ctx.faults().worker_slowdown(w, now)
-                };
+                let op = self.ctx_pool.begin(task.req_id);
+                let overhead = ContextPool::op_cost(op, &self.ctx_costs, &self.host);
+                let wall = stretched(ctx, w, overhead + task.remaining);
                 let worker = &mut self.workers[w];
                 worker.core.set_busy(ctx.now());
-                let remaining = task.remaining;
                 worker.running = Some(task);
-                let wall = if slow > 1.0 {
-                    scale_duration(overhead + remaining, slow)
-                } else {
-                    overhead + remaining
-                };
                 ctx.schedule_in(wall, Ev::WorkerRunEnd(w));
             }
             Ev::WorkerRunEnd(w) => {
@@ -328,59 +199,27 @@ impl Model for RpcValet {
                 ctx.probe().busy_i(key::WORKER, w, false);
                 self.workers[w].idle_since = Some(now);
                 let resp_built = now + params::WORKER_TX_COST;
-                let resp = FrameSpec {
-                    src_mac: AddressPlan::dispatcher_mac(),
-                    dst_mac: AddressPlan::client_mac(),
-                    src: AddressPlan::worker_ep(w),
-                    dst: AddressPlan::client_ep(),
-                    msg: MsgRepr {
-                        kind: MsgKind::Response,
-                        req_id: task.req_id,
-                        client_id: task.client_id,
-                        service_ns: task.service.as_nanos(),
-                        remaining_ns: 0,
-                        sent_at_ns: task.sent_at.as_nanos(),
-                        body_len: task.body_len,
-                        grant_code: 0,
-                    },
-                };
+                let resp = AddressPlan::to_client(
+                    AddressPlan::dispatcher_mac(),
+                    AddressPlan::worker_ep(w),
+                    task_msg(MsgKind::Response, &task, 0, task.body_len),
+                );
                 // Integrated NI: the response departs without a PCIe hop.
-                self.send_response(&resp, resp_built, ctx);
+                self.front.send_response(&resp, resp_built, ctx);
                 self.ctx_pool.discard(task.req_id);
-                let worker = &mut self.workers[w];
-                worker.core.requests_run += 1;
-                worker.core.set_idle(resp_built);
+                self.workers[w].core.set_idle(resp_built);
                 // The hardware queue reacts to the completion within the
                 // NI fabric's delivery delay — the "fine-grained knowledge
                 // of the load on each core" of §2.1.
                 let assignments = self.dispatcher.on_done(now, w, task.req_id);
                 self.emit(assignments, ctx);
             }
-            Ev::ClientResp(bytes) => {
-                if let Ok(parsed) = ParsedFrame::parse(&bytes) {
-                    ctx.probe().count(key::CLIENT_RESPONSES);
-                    ctx.probe().finish(parsed.msg.req_id, key::PATH_4_RESPONSE);
-                    self.client.on_response(ctx.now(), &parsed);
-                }
-            }
-            Ev::ClientTimeout { req_id, attempt } => {
-                if let TimeoutOutcome::Retry {
-                    frame,
-                    attempt,
-                    timeout,
-                } = self.client.on_timeout(ctx.now(), req_id, attempt)
-                {
-                    ctx.probe().count(key::CLIENT_RETRIES);
-                    self.send_request(&frame, ctx);
-                    ctx.schedule_in(timeout, Ev::ClientTimeout { req_id, attempt });
-                }
-            }
             Ev::HealthTick => {
                 let now = ctx.now();
-                if now >= self.horizon {
+                if now >= self.front.horizon {
                     return;
                 }
-                let Some(policy) = self.recovery else {
+                let Some(policy) = self.dispatcher.health().map(|h| h.policy()) else {
                     return;
                 };
                 // The integrated NI reads core liveness directly off the
@@ -405,68 +244,67 @@ impl Model for RpcValet {
     }
 }
 
-/// Run an RPCValet-style simulation with stage-level observability.
-pub fn run_probed(spec: WorkloadSpec, cfg: RpcValetConfig, probe: ProbeConfig) -> RunMetrics {
-    run_resilient_probed(spec, cfg, probe, ResilienceConfig::default())
-}
+// The integrated NI has per-nanosecond load knowledge, so the
+// staleness-fallback settings in `res` are ignored (there is no stale
+// feedback to degrade on), as is the admission policy (the hardware global
+// queue is lossless).
+impl Assembly for RpcValet {
+    type Config = RpcValetConfig;
+    const PROBE_NAMES: &'static [&'static str] = key::NAMES;
 
-/// Run an RPCValet-style simulation with fault injection and client
-/// retries. The integrated NI has per-nanosecond load knowledge, so the
-/// staleness-fallback settings in `res` are ignored (there is no stale
-/// feedback to degrade on), as is the admission policy (the hardware
-/// global queue is lossless).
-pub fn run_resilient_probed(
-    spec: WorkloadSpec,
-    cfg: RpcValetConfig,
-    probe: ProbeConfig,
-    res: ResilienceConfig,
-) -> RunMetrics {
-    let mut engine = Engine::new(RpcValet::new(spec, cfg, res));
-    engine.set_probe(Probe::new(probe).register(key::NAMES));
-    engine.set_invariants(crate::common::checker_for(&res));
-    if res.is_active() {
-        engine.set_faults(FaultPlan::new(res.faults, spec.seed ^ FAULT_SEED_SALT));
+    fn build(spec: WorkloadSpec, cfg: &RpcValetConfig, res: ResilienceConfig) -> RpcValet {
+        let front = FrontEnd::new(spec, &res, None, FRONT_KEYS, Ev::Client);
+        let t0 = SimTime::ZERO;
+        // One request in flight per core: RPCValet's N=1 design point,
+        // which its paper shows is optimal for its hardware queue.
+        let mut dispatcher = Dispatcher::new(cfg.workers, 1, Fcfs::new(), LeastOutstanding);
+        if let Some(policy) = res.recovery {
+            dispatcher.enable_recovery(policy);
+        }
+        RpcValet {
+            dispatcher,
+            front,
+            workers: (0..cfg.workers)
+                .map(|w| Worker {
+                    core: Core::new(CoreId(w as u32), CoreSpec::host_x86(), t0),
+                    running: None,
+                    idle_since: Some(t0),
+                })
+                .collect(),
+            ctx_pool: ContextPool::new(),
+            ctx_costs: ContextCosts::default(),
+            host: CoreSpec::host_x86(),
+            stranded: 0,
+        }
     }
-    engine.schedule_at(SimTime::ZERO, Ev::ClientSend);
-    if engine.model().recovery.is_some() {
-        engine.schedule_at(SimTime::ZERO, Ev::HealthTick);
+
+    fn front(&self) -> &FrontEnd<Ev> {
+        &self.front
     }
-    engine.run_until(spec.horizon());
-    let horizon = spec.horizon();
-    let model = engine.model();
-    let util = model
-        .workers
-        .iter()
-        .map(|w| w.core.utilization(horizon))
-        .sum::<f64>()
-        / model.workers.len() as f64;
-    let mut metrics = assemble_metrics(&model.client, 0, 0, util);
-    let fm = &mut metrics.faults;
-    fm.req_link_lost = model.req_lost;
-    fm.resp_link_lost = model.resp_lost;
-    fm.stranded = model.stranded;
-    if let Some(h) = model.dispatcher.health() {
-        fm.recovered = model.dispatcher.stats.recovered;
-        fm.recovery_duplicates = model.dispatcher.stats.late_duplicates;
-        fm.suspicions = h.stats.suspicions;
-        fm.readmissions = h.stats.readmissions;
+
+    fn startup(&self) -> Vec<(SimTime, Ev)> {
+        match self.dispatcher.health() {
+            Some(_) => vec![(SimTime::ZERO, Ev::HealthTick)],
+            None => Vec::new(),
+        }
     }
-    metrics.dropped = fm.link_lost();
-    if probe.enabled {
-        metrics.stages = Some(engine.probe_mut().report(horizon));
+
+    fn ledger(&self, horizon: SimTime, m: &mut RunMetrics) {
+        m.worker_utilization = mean_utilization(self.workers.iter().map(|w| &w.core), horizon);
+        m.faults.stranded = self.stranded;
+        dispatcher_ledger(&self.dispatcher, &mut m.faults);
     }
-    crate::common::close_invariants(engine.take_invariants(), horizon, &metrics);
-    metrics
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::api::ServerSystem;
+    use sim_core::ProbeConfig;
     use workload::ServiceDist;
 
     fn run(spec: WorkloadSpec, cfg: RpcValetConfig) -> RunMetrics {
-        run_probed(spec, cfg, ProbeConfig::disabled())
+        cfg.run(spec, ProbeConfig::disabled())
     }
 
     fn quick_spec(rps: f64, dist: ServiceDist) -> WorkloadSpec {
@@ -513,11 +351,7 @@ mod tests {
         // latency beats every software design in the repository.
         let spec = quick_spec(100_000.0, ServiceDist::Fixed(SimDuration::from_micros(1)));
         let valet = run(spec, RpcValetConfig { workers: 4 });
-        let offload = crate::offload::run_probed(
-            spec,
-            crate::offload::OffloadConfig::paper(4, 4),
-            ProbeConfig::disabled(),
-        );
+        let offload = crate::offload::OffloadConfig::paper(4, 4).run(spec, ProbeConfig::disabled());
         assert!(valet.p50 < offload.p50, "{} vs {}", valet.p50, offload.p50);
     }
 
@@ -536,11 +370,7 @@ mod tests {
         };
         let spec = quick_spec(280_000.0, dist); // rho ~ 0.83 on 4 workers
         let valet = run(spec, RpcValetConfig { workers: 4 });
-        let offload = crate::offload::run_probed(
-            spec,
-            crate::offload::OffloadConfig::paper(4, 4),
-            ProbeConfig::disabled(),
-        );
+        let offload = crate::offload::OffloadConfig::paper(4, 4).run(spec, ProbeConfig::disabled());
         assert!(
             valet.p99_short > offload.p99_short * 2,
             "short requests stuck behind 200us ones: valet {} vs offload {}",
@@ -563,14 +393,8 @@ mod tests {
     fn loss_and_crash_accounts_for_every_request() {
         let spec = quick_spec(300_000.0, ServiceDist::paper_bimodal());
         let res = ResilienceConfig::loss_and_crash(1, SimTime::ZERO + SimDuration::from_millis(10));
-        let run = || {
-            run_resilient_probed(
-                spec,
-                RpcValetConfig { workers: 4 },
-                ProbeConfig::disabled(),
-                res,
-            )
-        };
+        let run =
+            || RpcValetConfig { workers: 4 }.run_resilient(spec, ProbeConfig::disabled(), res);
         let m = run();
         let f = &m.faults;
         assert_eq!(f.unaccounted(), 0, "request ledger leaks: {f:?}");

@@ -72,11 +72,7 @@ mod tests {
         // latency beats Shinjuku-Offload's.
         let spec = quick_spec(5_000.0, ServiceDist::Fixed(SimDuration::from_micros(1)));
         let host = run(spec, ShinjukuConfig::paper(2));
-        let offload = crate::offload::run_probed(
-            spec,
-            crate::offload::OffloadConfig::paper(2, 2),
-            ProbeConfig::disabled(),
-        );
+        let offload = crate::offload::OffloadConfig::paper(2, 2).run(spec, ProbeConfig::disabled());
         assert!(
             host.p50 < offload.p50,
             "host {} should undercut offload {} at low load",

@@ -4,17 +4,14 @@
 //!    sojourn time — the report is an *accounting* of latency, not a
 //!    separate estimate.
 //! 2. Probing never perturbs the simulation: metrics with the probe
-//!    enabled equal metrics with it disabled, and the disabled path is
-//!    bit-identical to the direct free-function API.
+//!    enabled equal metrics with it disabled.
+//! 3. Vanilla Shinjuku is the one-group multi-dispatcher model.
 
-use nicsched::PolicySpec;
 use sim_core::{ProbeConfig, SimDuration};
-use systems::baseline::{BaselineConfig, BaselineKind};
 use systems::multi_shinjuku::MultiShinjukuConfig;
 use systems::offload::OffloadConfig;
-use systems::rpcvalet::RpcValetConfig;
 use systems::shinjuku::ShinjukuConfig;
-use systems::{ServerSystem, SystemConfig};
+use systems::ServerSystem;
 use workload::{ServiceDist, WorkloadSpec};
 
 /// A workload where every request traverses the identical stage chain:
@@ -57,51 +54,22 @@ fn offload_hop_breakdown_reconciles_with_client_sojourn() {
 }
 
 #[test]
-fn disabled_probe_is_bit_identical_to_the_free_functions() {
+fn vanilla_shinjuku_is_the_one_group_multi_dispatcher_model() {
+    // Without a fallback policy, the one rule that tells the two configs
+    // apart, vanilla Shinjuku runs bit-identically to one dispatcher group.
     let spec = uniform_chain_spec();
-    let probe = ProbeConfig::disabled();
-    for sys in [
-        SystemConfig::Offload(OffloadConfig::paper(4, 4)),
-        SystemConfig::Shinjuku(ShinjukuConfig::paper(4)),
-        SystemConfig::Baseline(BaselineConfig {
-            workers: 4,
-            kind: BaselineKind::Rss,
-        }),
-        SystemConfig::RpcValet(RpcValetConfig { workers: 4 }),
-        SystemConfig::MultiShinjuku(MultiShinjukuConfig {
-            groups: 2,
-            workers_per_group: 2,
-            time_slice: None,
-            policy: PolicySpec::FCFS,
-        }),
-    ] {
-        let disabled = sys.run(spec, probe);
-        assert!(disabled.stages.is_none());
-
-        let direct = match sys {
-            SystemConfig::Offload(c) => systems::offload::run_probed(spec, c, probe),
-            // Vanilla Shinjuku is the one-group multi-dispatcher model.
-            SystemConfig::Shinjuku(c) => {
-                let one_group = MultiShinjukuConfig {
-                    groups: 1,
-                    workers_per_group: c.workers,
-                    time_slice: c.time_slice,
-                    policy: c.policy,
-                };
-                systems::multi_shinjuku::run_probed(spec, one_group, probe).metrics
-            }
-            SystemConfig::Baseline(c) => systems::baseline::run_probed(spec, c, probe),
-            SystemConfig::RpcValet(c) => systems::rpcvalet::run_probed(spec, c, probe),
-            SystemConfig::MultiShinjuku(c) => {
-                systems::multi_shinjuku::run_probed(spec, c, probe).metrics
-            }
+    for probe in [ProbeConfig::disabled(), ProbeConfig::enabled()] {
+        let vanilla = ShinjukuConfig::paper(4);
+        let one_group = MultiShinjukuConfig {
+            groups: 1,
+            workers_per_group: vanilla.workers,
+            time_slice: vanilla.time_slice,
+            policy: vanilla.policy,
         };
-        assert_eq!(
-            disabled,
-            direct,
-            "{}: trait must be bit-identical to the free function",
-            sys.name()
-        );
+        let v = vanilla.run(spec, probe);
+        let m = one_group.run(spec, probe);
+        assert_eq!(v.stages.is_some(), probe.enabled);
+        assert_eq!(v, m, "probe {probe:?}: one group must equal vanilla");
     }
 }
 
