@@ -55,6 +55,38 @@ impl ContextCosts {
     pub fn restore(&self, spec: &CoreSpec) -> SimDuration {
         spec.cycles(self.restore_cycles)
     }
+
+    /// Every operation priced on `spec` once, for a model to add on each
+    /// dispatch instead of converting cycles per event.
+    pub fn priced(&self, spec: &CoreSpec) -> ContextPrices {
+        ContextPrices {
+            spawn: self.spawn(spec),
+            restore: self.restore(spec),
+            save: self.save(spec),
+        }
+    }
+}
+
+/// Context-operation times on one core: [`ContextCosts`] priced by
+/// [`ContextCosts::priced`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ContextPrices {
+    /// Allocate and enter a fresh context.
+    pub spawn: SimDuration,
+    /// Restore a previously saved context.
+    pub restore: SimDuration,
+    /// Save a preempted context to DRAM.
+    pub save: SimDuration,
+}
+
+impl ContextPrices {
+    /// The time `op` takes.
+    pub fn op(&self, op: ContextOp) -> SimDuration {
+        match op {
+            ContextOp::Spawn => self.spawn,
+            ContextOp::Restore => self.restore,
+        }
+    }
 }
 
 /// Tracks saved contexts for preempted requests, keyed by request id.
@@ -132,14 +164,6 @@ impl ContextPool {
     pub fn resident(&self) -> usize {
         self.saved.len()
     }
-
-    /// The cost of `op` on `spec`.
-    pub fn op_cost(op: ContextOp, costs: &ContextCosts, spec: &CoreSpec) -> SimDuration {
-        match op {
-            ContextOp::Spawn => costs.spawn(spec),
-            ContextOp::Restore => costs.restore(spec),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -208,13 +232,18 @@ mod tests {
         let host = CoreSpec::host_x86();
         let arm = CoreSpec::nic_arm();
         assert!(costs.spawn(&host) < costs.spawn(&arm));
-        assert_eq!(
-            ContextPool::op_cost(ContextOp::Spawn, &costs, &host),
-            costs.spawn(&host)
-        );
-        assert_eq!(
-            ContextPool::op_cost(ContextOp::Restore, &costs, &host),
-            costs.restore(&host)
-        );
+    }
+
+    #[test]
+    fn prices_equal_the_live_costs_on_every_core() {
+        let costs = ContextCosts::default();
+        for spec in [CoreSpec::host_x86(), CoreSpec::nic_arm()] {
+            let p = costs.priced(&spec);
+            assert_eq!(p.spawn, costs.spawn(&spec));
+            assert_eq!(p.restore, costs.restore(&spec));
+            assert_eq!(p.save, costs.save(&spec));
+            assert_eq!(p.op(ContextOp::Spawn), costs.spawn(&spec));
+            assert_eq!(p.op(ContextOp::Restore), costs.restore(&spec));
+        }
     }
 }

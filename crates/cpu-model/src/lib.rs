@@ -21,7 +21,7 @@ mod timer;
 mod topology;
 
 pub use crate::core::{Core, CoreId, CoreKind, CoreSpec};
-pub use context::{ContextCosts, ContextOp, ContextPool};
+pub use context::{ContextCosts, ContextOp, ContextPool, ContextPrices};
 pub use interrupt::InterruptPath;
 pub use timer::{OneShotTimer, TimerMode};
 pub use topology::{Topology, CROSS_SOCKET_PENALTY};

@@ -22,7 +22,7 @@ use systems::multi_shinjuku::MultiShinjukuConfig;
 use systems::offload::OffloadConfig;
 use systems::rpcvalet::RpcValetConfig;
 use systems::shinjuku::ShinjukuConfig;
-use systems::{ServerSystem, SystemConfig};
+use systems::{ResilienceConfig, ServerSystem, SystemConfig};
 use workload::{ServiceDist, WorkloadSpec};
 
 /// How many requests to show in table mode.
@@ -159,7 +159,11 @@ fn main() {
         measure: SimDuration::from_millis(2),
         seed: 7,
     };
-    let m = sys.run(spec, ProbeConfig::with_trace(65_536));
+    let (m, engine) = sys.run_counted(
+        spec,
+        ProbeConfig::with_trace(65_536),
+        ResilienceConfig::default(),
+    );
     let stages = m.stages.expect("probed run always reports stages");
     let by_req = timelines(&stages.trace);
 
@@ -193,5 +197,10 @@ fn main() {
     println!(
         "\nclient view: mean {} p99 {} over {} completed requests",
         m.mean, m.p99, m.completed
+    );
+    let per_req = engine.events as f64 / m.faults.completed_all.max(1) as f64;
+    println!(
+        "engine: {} events ({per_req:.1} per completed request), peak {} pending",
+        engine.events, engine.peak_pending
     );
 }

@@ -136,13 +136,17 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> Datagram<T> {
     }
 }
 
+/// The pseudo-header's share of the checksum (RFC 768): source and
+/// destination address, zero + protocol, and the UDP length, added as six
+/// big-endian 16-bit words. At most 6 × 0xffff, so the `u32` cannot
+/// overflow. Never zero (the protocol word is 17), which with congruence
+/// mod 0xffff is all [`checksum::finish`] needs: the finished checksum is
+/// the same as from summing the fields with [`checksum::sum`].
 fn pseudo_header_sum(src: Ipv4Address, dst: Ipv4Address, udp_len: u16) -> u32 {
-    let mut acc = 0;
-    acc = checksum::sum(acc, src.as_bytes());
-    acc = checksum::sum(acc, dst.as_bytes());
-    acc = checksum::sum(acc, &[0, 17]); // zero + protocol
-    acc = checksum::sum(acc, &udp_len.to_be_bytes());
-    acc
+    let word = |hi: u8, lo: u8| u32::from(u16::from_be_bytes([hi, lo]));
+    let [s0, s1, s2, s3] = src.0;
+    let [d0, d1, d2, d3] = dst.0;
+    word(s0, s1) + word(s2, s3) + word(d0, d1) + word(d2, d3) + 17 + u32::from(udp_len)
 }
 
 /// High-level representation of a UDP header.
@@ -194,6 +198,59 @@ mod tests {
 
     const SRC: Ipv4Address = Ipv4Address::new(10, 0, 0, 1);
     const DST: Ipv4Address = Ipv4Address::new(10, 0, 0, 2);
+
+    /// The pseudo-header summed field by field through the slice
+    /// checksum, as it was before the word sum.
+    fn pseudo_header_sum_chained(src: Ipv4Address, dst: Ipv4Address, udp_len: u16) -> u32 {
+        let mut acc = 0;
+        acc = checksum::sum(acc, src.as_bytes());
+        acc = checksum::sum(acc, dst.as_bytes());
+        acc = checksum::sum(acc, &[0, 17]);
+        checksum::sum(acc, &udp_len.to_be_bytes())
+    }
+
+    #[test]
+    fn word_pseudo_header_finishes_like_the_chained_slices() {
+        let mut state = 0x5eed_u64;
+        let mut next = || {
+            // splitmix64
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let ip = |x: u64| Ipv4Address((x as u32).to_be_bytes());
+        let mut cases = vec![];
+        for edge in [0u64, 0xffff_ffff, 0x0000_ffff, 0xffff_0000, 0x8000_8000] {
+            for other in [0u64, 0xffff_ffff, 0x0a00_0001] {
+                for len in [0u16, 1, 8, 0xffef, 0xfffe, 0xffff] {
+                    cases.push((ip(edge), ip(other), len));
+                }
+            }
+        }
+        for _ in 0..20_000 {
+            let r = next();
+            cases.push((ip(r), ip(r >> 32), next() as u16));
+        }
+        for (i, &(src, dst, len)) in cases.iter().enumerate() {
+            let (words, chained) = (
+                pseudo_header_sum(src, dst, len),
+                pseudo_header_sum_chained(src, dst, len),
+            );
+            // The data after the pseudo-header: none, carry-heavy, random.
+            let body: Vec<u8> = match i % 3 {
+                0 => vec![],
+                1 => vec![0xff; (i % 41) + 1],
+                _ => (0..(i % 97)).map(|_| next() as u8).collect(),
+            };
+            assert_eq!(
+                checksum::finish(checksum::sum(words, &body)),
+                checksum::finish(checksum::sum(chained, &body)),
+                "{src:?} {dst:?} len {len} body {body:?}"
+            );
+        }
+    }
 
     #[test]
     fn emit_parse_round_trip() {

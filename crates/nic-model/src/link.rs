@@ -11,6 +11,12 @@
 use net_wire::ethernet::wire_occupancy;
 use sim_core::{Rng, SimDuration, SimTime};
 
+/// How many distinct payload lengths a link remembers the serialization
+/// time of. A simulated run sends a handful (a request, a response, a
+/// NACK), so every frame after the first of each length skips the float
+/// math; lengths beyond the table are priced on every send.
+const PRICED_LENGTHS: usize = 8;
+
 /// A unidirectional link with finite bandwidth.
 #[derive(Debug, Clone)]
 pub struct Link {
@@ -26,6 +32,9 @@ pub struct Link {
     loss: Option<(f64, Rng)>,
     /// Frames lost to corruption.
     pub lost: u64,
+    /// `(payload length, serialization time)` of the lengths sent so far,
+    /// at most [`PRICED_LENGTHS`] of them.
+    priced: Vec<(usize, SimDuration)>,
 }
 
 impl Link {
@@ -40,6 +49,7 @@ impl Link {
             wire_bytes: 0,
             loss: None,
             lost: 0,
+            priced: Vec::new(),
         }
     }
 
@@ -80,11 +90,25 @@ impl Link {
         } else {
             now
         };
-        let ser = self.serialization(payload_len);
+        let ser = self.priced_serialization(payload_len);
         self.next_free = start + ser;
         self.frames += 1;
         self.wire_bytes += wire_occupancy(payload_len) as u64;
         self.next_free + self.propagation
+    }
+
+    /// [`Link::serialization`], looked up in the table of lengths already
+    /// sent, and worked out (and remembered while the table has room)
+    /// only for a new length.
+    fn priced_serialization(&mut self, payload_len: usize) -> SimDuration {
+        if let Some(&(_, ser)) = self.priced.iter().find(|&&(len, _)| len == payload_len) {
+            return ser;
+        }
+        let ser = self.serialization(payload_len);
+        if self.priced.len() < PRICED_LENGTHS {
+            self.priced.push((payload_len, ser));
+        }
+        ser
     }
 
     /// Like [`Link::transmit`], but the frame may be corrupted in flight
@@ -206,6 +230,67 @@ mod tests {
     #[should_panic(expected = "probability out of range")]
     fn invalid_loss_rejected() {
         let _ = Link::ten_gbe().with_loss(1.5, Rng::new(1));
+    }
+
+    /// The link as it was before serialization times were remembered:
+    /// every frame priced afresh. Returns each frame's arrival (`None`
+    /// when lost) and the final `(frames, wire_bytes, lost)`.
+    fn unmemoized(
+        mut link: Link,
+        sends: &[(u64, usize)],
+    ) -> (Vec<Option<SimTime>>, (u64, u64, u64)) {
+        let mut next_free = SimTime::ZERO;
+        let mut arrivals = Vec::new();
+        for &(at, len) in sends {
+            let now = SimTime::from_nanos(at);
+            next_free = next_free.max(now) + link.serialization(len);
+            link.frames += 1;
+            link.wire_bytes += wire_occupancy(len) as u64;
+            let lost = match &mut link.loss {
+                Some((p, rng)) => rng.chance(*p),
+                None => false,
+            };
+            link.lost += u64::from(lost);
+            arrivals.push((!lost).then_some(next_free + link.propagation));
+        }
+        (arrivals, (link.frames, link.wire_bytes, link.lost))
+    }
+
+    #[test]
+    fn remembered_serialization_matches_pricing_every_frame() {
+        // Interleaved lengths, including sub-minimum ones that pad to the
+        // same wire size, and more distinct lengths than the table holds.
+        let lengths = [
+            148, 20, 148, 1500, 46, 1, 148, 20, 700, 64, 65, 66, 67, 68, 1500,
+        ];
+        let sends: Vec<(u64, usize)> = (0..3000u64)
+            .map(|i| (i * 97 / 3, lengths[(i * 7 % 13) as usize % lengths.len()]))
+            .collect();
+        for link in [
+            Link::ten_gbe(),
+            Link::ten_gbe().with_loss(0.05, Rng::new(11)),
+            Link::new(1_000_000_000, SimDuration::from_micros(1)).with_loss(0.3, Rng::new(2)),
+        ] {
+            let (want, want_counts) = unmemoized(link.clone(), &sends);
+            let mut fast = link;
+            let got: Vec<Option<SimTime>> = sends
+                .iter()
+                .map(|&(at, len)| fast.transmit_lossy(SimTime::from_nanos(at), len))
+                .collect();
+            assert_eq!(got, want);
+            assert_eq!((fast.frames, fast.wire_bytes, fast.lost), want_counts);
+            assert_eq!(fast.priced.len(), PRICED_LENGTHS, "table fills, then stops");
+        }
+    }
+
+    #[test]
+    fn each_length_is_priced_once() {
+        let mut link = Link::ten_gbe();
+        for i in 0..100 {
+            link.transmit(SimTime::from_micros(i), [148, 84, 20][i as usize % 3]);
+        }
+        let lengths: Vec<usize> = link.priced.iter().map(|&(len, _)| len).collect();
+        assert_eq!(lengths, vec![148, 84, 20]);
     }
 
     #[test]

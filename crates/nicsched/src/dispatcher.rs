@@ -150,6 +150,9 @@ pub struct Dispatcher<P, S> {
     // same worker twice across a readmission, and from several workers
     // along a re-dispatch chain.
     reclaimed: BTreeMap<(u64, usize), u32>,
+    // The candidate set `drain` shows the policy, rebuilt in place on
+    // every turn so dispatching allocates nothing.
+    candidates: Vec<WorkerView>,
     /// Exported counters.
     pub stats: DispatchStats,
 }
@@ -174,6 +177,7 @@ impl<P: SchedPolicy, S: CoreSelector> Dispatcher<P, S> {
             in_flight: BTreeMap::new(),
             health: None,
             reclaimed: BTreeMap::new(),
+            candidates: Vec::with_capacity(n_workers),
             stats: DispatchStats::default(),
         }
     }
@@ -438,28 +442,30 @@ impl<P: SchedPolicy, S: CoreSelector> Dispatcher<P, S> {
             }
             // Gather non-quarantined, health-selectable candidates below
             // the cap.
-            let candidates: Vec<WorkerView> = self
-                .outstanding
-                .iter()
-                .enumerate()
-                .filter(|&(i, &n)| {
-                    !self.excluded[i]
-                        && n < self.outstanding_cap
-                        && self.health.as_ref().map_or(true, |h| h.selectable(i))
-                })
-                .map(|(i, &n)| WorkerView {
-                    worker: i,
-                    outstanding: n,
-                    health: self
-                        .health
-                        .as_ref()
-                        .map_or(WorkerHealth::Healthy, |h| h.state_of(i)),
-                })
-                .collect();
+            self.candidates.clear();
+            self.candidates.extend(
+                self.outstanding
+                    .iter()
+                    .enumerate()
+                    .filter(|&(i, &n)| {
+                        !self.excluded[i]
+                            && n < self.outstanding_cap
+                            && self.health.as_ref().map_or(true, |h| h.selectable(i))
+                    })
+                    .map(|(i, &n)| WorkerView {
+                        worker: i,
+                        outstanding: n,
+                        health: self
+                            .health
+                            .as_ref()
+                            .map_or(WorkerHealth::Healthy, |h| h.state_of(i)),
+                    }),
+            );
+            let candidates = &self.candidates;
             if candidates.is_empty() {
                 break;
             }
-            let Some(pick) = self.policy.pick_next(now, &candidates) else {
+            let Some(pick) = self.policy.pick_next(now, candidates) else {
                 // The policy parks the queue: none of its queued work may
                 // run on any candidate (e.g. dFCFS with busy home cores).
                 break;
@@ -484,7 +490,7 @@ impl<P: SchedPolicy, S: CoreSelector> Dispatcher<P, S> {
                         (task.req_id.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) as usize
                             % candidates.len()
                     } else {
-                        self.selector.select(&candidates, task.req_id)
+                        self.selector.select(candidates, task.req_id)
                     };
                     candidates[chosen].worker
                 }

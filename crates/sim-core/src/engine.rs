@@ -173,6 +173,17 @@ pub enum RunOutcome {
     Horizon,
 }
 
+/// What the engine did over a run. Every count is a function of the event
+/// stream alone, so a change that leaves simulated results unchanged
+/// leaves these unchanged too.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EngineStats {
+    /// Events processed.
+    pub events: u64,
+    /// The most events pending at once.
+    pub peak_pending: u64,
+}
+
 /// The discrete-event simulation engine.
 pub struct Engine<M: Model> {
     queue: EventQueue<M::Event>,
@@ -272,6 +283,14 @@ impl<M: Model> Engine<M> {
         self.queue.len()
     }
 
+    /// The engine's counts so far.
+    pub fn stats(&self) -> EngineStats {
+        EngineStats {
+            events: self.processed,
+            peak_pending: self.queue.peak_len() as u64,
+        }
+    }
+
     /// Shared access to the model.
     pub fn model(&self) -> &M {
         &self.model
@@ -331,6 +350,12 @@ impl<M: Model> Engine<M> {
         let Some((at, seq, event)) = self.queue.pop() else {
             return false;
         };
+        self.dispatch(at, seq, event);
+        true
+    }
+
+    /// Advance the clock to a popped event and run its handler.
+    fn dispatch(&mut self, at: SimTime, seq: u64, event: M::Event) {
         if self.invariants.is_enabled() {
             self.invariants.observe_pop(self.now, at, seq);
             // Even on a causality violation (possible only through the
@@ -356,7 +381,6 @@ impl<M: Model> Engine<M> {
         if self.invariants.is_enabled() {
             self.model.check_invariants(self.now, &mut self.invariants);
         }
-        true
     }
 
     /// Seed an event with no causality check — deliberately able to put
@@ -386,19 +410,15 @@ impl<M: Model> Engine<M> {
             if self.stopped {
                 return RunOutcome::Stopped;
             }
-            match self.queue.peek_at() {
-                None => {
+            let Some((at, seq, event)) = self.queue.pop_through(horizon) else {
+                if self.queue.is_empty() {
                     self.audit_drained();
                     return RunOutcome::Drained;
                 }
-                Some(at) if at > horizon => {
-                    self.now = horizon.max(self.now);
-                    return RunOutcome::Horizon;
-                }
-                Some(_) => {
-                    self.step();
-                }
-            }
+                self.now = horizon.max(self.now);
+                return RunOutcome::Horizon;
+            };
+            self.dispatch(at, seq, event);
         }
     }
 
@@ -550,6 +570,63 @@ mod tests {
         // Continue to the end.
         assert_eq!(e.run_until(SimTime::from_secs(1)), RunOutcome::Drained);
         assert_eq!(e.model().seen.len(), 10);
+    }
+
+    #[test]
+    fn run_until_runs_an_event_exactly_at_the_horizon_only() {
+        let mut e = engine();
+        let horizon = SimTime::from_nanos(5_000);
+        e.schedule_at(horizon, Ev::Mark(1));
+        e.schedule_at(SimTime::from_nanos(5_001), Ev::Mark(2));
+        assert_eq!(e.run_until(horizon), RunOutcome::Horizon);
+        assert_eq!(e.model().seen, vec![(5_000, 1)], "at the horizon runs");
+        assert_eq!(e.events_pending(), 1, "1 ns later stays pending");
+        assert_eq!(e.now(), horizon);
+        assert_eq!(e.stats().events, 1);
+    }
+
+    #[test]
+    fn run_until_honours_stop_and_resumes_where_it_left_off() {
+        let mut e = engine();
+        e.schedule_at(SimTime::from_nanos(10), Ev::Mark(1));
+        e.schedule_at(SimTime::from_nanos(20), Ev::StopNow);
+        e.schedule_at(SimTime::from_nanos(30), Ev::Mark(3));
+        assert_eq!(e.run_until(SimTime::from_nanos(100)), RunOutcome::Stopped);
+        assert_eq!(e.model().seen, vec![(10, 1)]);
+        assert_eq!(
+            e.now(),
+            SimTime::from_nanos(20),
+            "stopped at the stop event"
+        );
+        assert_eq!(e.events_pending(), 1);
+        assert_eq!(e.run_until(SimTime::from_nanos(100)), RunOutcome::Stopped);
+        assert_eq!(e.events_pending(), 1, "a stopped engine stays stopped");
+
+        // A horizon split resumes exactly: the second call picks up the
+        // chain where the first left it and drains the rest.
+        let mut e = engine();
+        e.schedule_at(
+            SimTime::ZERO,
+            Ev::Chain {
+                label: 7,
+                remaining: 5,
+                gap: SimDuration::from_nanos(10),
+            },
+        );
+        assert_eq!(e.run_until(SimTime::from_nanos(25)), RunOutcome::Horizon);
+        assert_eq!(e.model().seen.len(), 3);
+        assert_eq!(e.now(), SimTime::from_nanos(25));
+        assert_eq!(e.run_until(SimTime::from_nanos(40)), RunOutcome::Horizon);
+        assert_eq!(e.run_until(SimTime::from_nanos(1_000)), RunOutcome::Drained);
+        let times: Vec<u64> = e.model().seen.iter().map(|&(t, _)| t).collect();
+        assert_eq!(times, vec![0, 10, 20, 30, 40, 50]);
+        assert_eq!(
+            e.stats(),
+            EngineStats {
+                events: 6,
+                peak_pending: 1
+            }
+        );
     }
 
     #[test]

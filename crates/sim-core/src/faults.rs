@@ -214,6 +214,12 @@ pub struct FaultStats {
 #[derive(Debug)]
 pub struct FaultPlan {
     cfg: FaultConfig,
+    /// The earliest configured crash instant (`SimTime::MAX` if none).
+    /// Before it no worker is crashed, so the per-event check answers
+    /// without scanning the crash list.
+    first_crash: SimTime,
+    /// The earliest configured stall start (`SimTime::MAX` if none).
+    first_stall: SimTime,
     rng: Rng,
     in_burst: bool,
     /// Counters accumulated while the plan is consulted.
@@ -233,6 +239,8 @@ impl FaultPlan {
     /// independent of the workload's own random streams.
     pub fn new(cfg: FaultConfig, seed: u64) -> FaultPlan {
         FaultPlan {
+            first_crash: cfg.crashes().map(|c| c.at).min().unwrap_or(SimTime::MAX),
+            first_stall: cfg.stalls().map(|s| s.start).min().unwrap_or(SimTime::MAX),
             cfg,
             rng: Rng::new(seed ^ 0xFA_17_5E_ED),
             in_burst: false,
@@ -279,9 +287,11 @@ impl FaultPlan {
 
     /// Whether `worker` has crashed by `now`.
     pub fn worker_crashed(&self, worker: usize, now: SimTime) -> bool {
-        self.cfg
-            .crashes()
-            .any(|c| c.worker == worker && now >= c.at)
+        now >= self.first_crash
+            && self
+                .cfg
+                .crashes()
+                .any(|c| c.worker == worker && now >= c.at)
     }
 
     /// The earliest configured crash, if any (legacy single-crash view).
@@ -292,6 +302,9 @@ impl FaultPlan {
     /// If `worker` is stalled at `now`, the latest instant any covering
     /// stall window ends (overlapping windows extend each other).
     pub fn worker_stalled_until(&self, worker: usize, now: SimTime) -> Option<SimTime> {
+        if now < self.first_stall {
+            return None;
+        }
         self.cfg
             .stalls()
             .filter(|s| s.worker == worker && now >= s.start && now < s.end)
@@ -385,6 +398,42 @@ mod tests {
         assert_eq!(cfg.crashes().count(), 2);
         assert_eq!(cfg.stalls().count(), 3);
         assert!(!cfg.is_none());
+    }
+
+    /// The earliest-crash and earliest-stall floors only skip scans that
+    /// would find nothing: every answer equals the plain scan of the
+    /// configured lists.
+    #[test]
+    fn floors_never_change_an_answer() {
+        let mut r = Rng::new(9);
+        for _ in 0..200 {
+            let mut cfg = FaultConfig::default();
+            for _ in 0..r.next_below(4) {
+                cfg = cfg.with_crash(r.next_below(4) as usize, us(r.next_below(100)));
+            }
+            for _ in 0..r.next_below(4) {
+                let start = r.next_below(100);
+                cfg = cfg.with_stall(
+                    r.next_below(4) as usize,
+                    us(start),
+                    us(start + 1 + r.next_below(30)),
+                );
+            }
+            let p = FaultPlan::new(cfg, 1);
+            for w in 0..4 {
+                for t in 0..140 {
+                    let now = us(t);
+                    let crashed = cfg.crashes().any(|c| c.worker == w && now >= c.at);
+                    let stalled = cfg
+                        .stalls()
+                        .filter(|s| s.worker == w && now >= s.start && now < s.end)
+                        .map(|s| s.end)
+                        .max();
+                    assert_eq!(p.worker_crashed(w, now), crashed);
+                    assert_eq!(p.worker_stalled_until(w, now), stalled);
+                }
+            }
+        }
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub mod stats;
 mod time;
 mod wheel;
 
-pub use engine::{Ctx, Engine, Model, RunOutcome};
+pub use engine::{Ctx, Engine, EngineStats, Model, RunOutcome};
 pub use faults::{FaultConfig, FaultPlan, FaultStats, MAX_FAULT_EVENTS};
 pub use invariants::{InvariantChecker, InvariantConfig, Violation};
 pub use probe::{CounterName, Probe, ProbeConfig, ProbeHandle, ProbeKey, StageReport, TraceEvent};

@@ -205,6 +205,13 @@ impl<E> EventQueue<E> {
         self.slab.iter().filter(|s| s.ev.is_some()).count()
     }
 
+    /// The most events ever pending at once. A slot is added to the arena
+    /// only when every existing slot is live, so the arena's size is this
+    /// high-water mark and the hot path keeps no counter for it.
+    pub fn peak_len(&self) -> usize {
+        self.slab.len()
+    }
+
     /// The instant of the next event to pop, if any. Takes `&mut self`:
     /// answering may require dropping cancelled entries and promoting the
     /// next wheel bucket into the near heap (state motion, never
@@ -287,6 +294,19 @@ impl<E> EventQueue<E> {
 
     /// Remove and return the earliest event as `(time, seq, event)`.
     pub fn pop(&mut self) -> Option<(SimTime, u64, E)> {
+        self.pop_through(SimTime::MAX)
+    }
+
+    /// [`pop`], but only if the earliest event is due at or before
+    /// `limit`; `None` when nothing is pending or the earliest event is
+    /// later (tell the two apart with [`is_empty`]). One settle serves
+    /// both the bound check and the pop, so a run loop need not
+    /// [`peek_at`] first.
+    ///
+    /// [`pop`]: EventQueue::pop
+    /// [`is_empty`]: EventQueue::is_empty
+    /// [`peek_at`]: EventQueue::peek_at
+    pub fn pop_through(&mut self, limit: SimTime) -> Option<(SimTime, u64, E)> {
         if !self.settle() {
             return None;
         }
@@ -307,6 +327,13 @@ impl<E> EventQueue<E> {
             (None, Some(_)) => false,
             (Some(l), Some(k)) => l <= k,
         };
+        let due = match (from_lane, key_rank) {
+            (false, Some((at, _))) => at,
+            _ => self.lane_at,
+        };
+        if due > limit.as_nanos() {
+            return None;
+        }
         self.len -= 1;
         if from_lane {
             let (seq, slot) = self.lane.pop_front().expect("lane checked non-empty");
@@ -430,12 +457,16 @@ impl<E> EventQueue<E> {
             debug_assert!(new_floor > self.floor || self.floor == 0);
             self.floor = new_floor;
             self.horizon = new_floor + (GRANULARITY - 1);
-            let before = self.run.len();
-            let slab = &self.slab;
-            self.run.retain(|k| {
-                slab[k.slot as usize].seq == k.seq && slab[k.slot as usize].ev.is_some()
-            });
-            self.stale -= before - self.run.len();
+            // With no cancelled entry outstanding every promoted key is
+            // live, and the per-key check is skipped.
+            if self.stale > 0 {
+                let before = self.run.len();
+                let slab = &self.slab;
+                self.run.retain(|k| {
+                    slab[k.slot as usize].seq == k.seq && slab[k.slot as usize].ev.is_some()
+                });
+                self.stale -= before - self.run.len();
+            }
             if !self.run.is_empty() {
                 self.run
                     .sort_unstable_by_key(|k| core::cmp::Reverse(k.rank()));
@@ -719,6 +750,34 @@ mod tests {
     }
 
     #[test]
+    fn pop_through_stops_at_the_limit() {
+        let mut q = EventQueue::new();
+        assert_eq!(q.pop_through(SimTime::MAX), None);
+        q.push(SimTime::from_nanos(10), "a");
+        q.push(SimTime::from_nanos(10), "b");
+        q.push(SimTime::from_nanos(11), "c");
+        q.push(SimTime::from_nanos(1 << 30), "far");
+        let limit = SimTime::from_nanos(10);
+        assert_eq!(q.pop_through(limit).map(|(_, _, e)| e), Some("a"));
+        assert_eq!(q.pop_through(limit).map(|(_, _, e)| e), Some("b"));
+        assert_eq!(q.pop_through(limit), None, "an event 1 ns late stays");
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.peek_at(), Some(SimTime::from_nanos(11)));
+        assert_eq!(
+            q.pop_through(SimTime::from_nanos(1 << 29))
+                .map(|(_, _, e)| e),
+            Some("c")
+        );
+        assert_eq!(
+            q.pop_through(SimTime::from_nanos(1 << 29)),
+            None,
+            "wheel events wait too"
+        );
+        assert_eq!(q.pop_through(SimTime::MAX).map(|(_, _, e)| e), Some("far"));
+        assert!(q.is_empty());
+    }
+
+    #[test]
     fn far_future_events_pop_in_order_across_wheel_levels() {
         let mut q = EventQueue::new();
         // One event per wheel level, pushed out of order, plus a near one.
@@ -861,9 +920,20 @@ mod tests {
                     let sa = fast.push(at, label);
                     let sb = slow.push(at, label);
                     assert_eq!(sa, sb, "sequence numbering diverged");
-                } else {
+                } else if r % 2 == 0 {
                     fast_out.push(fast.pop().map(|(t, q2, e)| (t.as_nanos(), q2, e)));
                     slow_out.push(slow.pop().map(|(t, q2, e)| (t.as_nanos(), q2, e)));
+                } else {
+                    // A bounded pop is a pop exactly when the spec's head
+                    // is due by the limit.
+                    let limit = SimTime::from_nanos((r >> 8) % 4096);
+                    let got = fast.pop_through(limit);
+                    if slow.peek_at().is_some_and(|at| at <= limit) {
+                        fast_out.push(got.map(|(t, q2, e)| (t.as_nanos(), q2, e)));
+                        slow_out.push(slow.pop().map(|(t, q2, e)| (t.as_nanos(), q2, e)));
+                    } else {
+                        assert!(got.is_none(), "popped past the limit");
+                    }
                 }
                 assert_eq!(fast.len(), slow.len());
                 assert_eq!(fast.peek_at(), slow.peek_at());

@@ -19,7 +19,7 @@
 //! assert!(m.stages.is_some(), "probing attaches a stage report");
 //! ```
 
-use sim_core::ProbeConfig;
+use sim_core::{EngineStats, ProbeConfig};
 use workload::{RunMetrics, WorkloadSpec};
 
 use crate::baseline::{Baseline, BaselineConfig};
@@ -60,7 +60,19 @@ pub trait ServerSystem {
         spec: WorkloadSpec,
         probe: ProbeConfig,
         res: ResilienceConfig,
-    ) -> RunMetrics;
+    ) -> RunMetrics {
+        self.run_counted(spec, probe, res).0
+    }
+
+    /// [`run_resilient`](ServerSystem::run_resilient), plus the engine's
+    /// counts for the run: events processed up to the horizon and the
+    /// most events pending at once.
+    fn run_counted(
+        &self,
+        spec: WorkloadSpec,
+        probe: ProbeConfig,
+        res: ResilienceConfig,
+    ) -> (RunMetrics, EngineStats);
 }
 
 impl ServerSystem for OffloadConfig {
@@ -68,12 +80,12 @@ impl ServerSystem for OffloadConfig {
         "shinjuku-offload"
     }
 
-    fn run_resilient(
+    fn run_counted(
         &self,
         spec: WorkloadSpec,
         probe: ProbeConfig,
         res: ResilienceConfig,
-    ) -> RunMetrics {
+    ) -> (RunMetrics, EngineStats) {
         run::<Offload>(spec, self, probe, res).0
     }
 }
@@ -83,12 +95,12 @@ impl ServerSystem for ShinjukuConfig {
         "shinjuku"
     }
 
-    fn run_resilient(
+    fn run_counted(
         &self,
         spec: WorkloadSpec,
         probe: ProbeConfig,
         res: ResilienceConfig,
-    ) -> RunMetrics {
+    ) -> (RunMetrics, EngineStats) {
         // One dispatcher group over every worker; `res` passes through
         // unchanged, staleness fallback included.
         let cfg = MultiShinjukuConfig {
@@ -111,12 +123,12 @@ impl ServerSystem for BaselineConfig {
         }
     }
 
-    fn run_resilient(
+    fn run_counted(
         &self,
         spec: WorkloadSpec,
         probe: ProbeConfig,
         res: ResilienceConfig,
-    ) -> RunMetrics {
+    ) -> (RunMetrics, EngineStats) {
         run::<Baseline>(spec, self, probe, res).0
     }
 }
@@ -126,12 +138,12 @@ impl ServerSystem for RpcValetConfig {
         "rpcvalet"
     }
 
-    fn run_resilient(
+    fn run_counted(
         &self,
         spec: WorkloadSpec,
         probe: ProbeConfig,
         res: ResilienceConfig,
-    ) -> RunMetrics {
+    ) -> (RunMetrics, EngineStats) {
         run::<RpcValet>(spec, self, probe, res).0
     }
 }
@@ -145,12 +157,12 @@ impl ServerSystem for MultiShinjukuConfig {
     /// dispatcher sits one queue hop from its private workers, so there is
     /// no cross-group feedback to go stale — the RSS spray across groups
     /// already *is* the uninformed fallback.
-    fn run_resilient(
+    fn run_counted(
         &self,
         spec: WorkloadSpec,
         probe: ProbeConfig,
         mut res: ResilienceConfig,
-    ) -> RunMetrics {
+    ) -> (RunMetrics, EngineStats) {
         res.fallback = None;
         run::<MultiShinjuku>(spec, self, probe, res).0
     }
@@ -186,18 +198,18 @@ impl ServerSystem for SystemConfig {
         }
     }
 
-    fn run_resilient(
+    fn run_counted(
         &self,
         spec: WorkloadSpec,
         probe: ProbeConfig,
         res: ResilienceConfig,
-    ) -> RunMetrics {
+    ) -> (RunMetrics, EngineStats) {
         match self {
-            SystemConfig::Offload(c) => c.run_resilient(spec, probe, res),
-            SystemConfig::Shinjuku(c) => c.run_resilient(spec, probe, res),
-            SystemConfig::Baseline(c) => c.run_resilient(spec, probe, res),
-            SystemConfig::RpcValet(c) => c.run_resilient(spec, probe, res),
-            SystemConfig::MultiShinjuku(c) => c.run_resilient(spec, probe, res),
+            SystemConfig::Offload(c) => c.run_counted(spec, probe, res),
+            SystemConfig::Shinjuku(c) => c.run_counted(spec, probe, res),
+            SystemConfig::Baseline(c) => c.run_counted(spec, probe, res),
+            SystemConfig::RpcValet(c) => c.run_counted(spec, probe, res),
+            SystemConfig::MultiShinjuku(c) => c.run_counted(spec, probe, res),
         }
     }
 }

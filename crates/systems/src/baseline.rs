@@ -16,7 +16,7 @@
 //! scheduling to steering hardware and give up load awareness.
 
 use bytes::Bytes;
-use cpu_model::{ContextCosts, ContextPool, Core, CoreId, CoreSpec};
+use cpu_model::{ContextCosts, ContextPool, ContextPrices, Core, CoreId, CoreSpec};
 use net_wire::{MsgKind, MsgRepr, ParsedFrame};
 use nic_model::{FlowDirector, FlowKey, IfaceId, NicDevice, QueueSteering, Rss};
 use nicsched::params;
@@ -106,8 +106,8 @@ pub(crate) struct Baseline {
     iface: IfaceId,
     workers: Vec<Worker>,
     ctx_pool: ContextPool,
-    ctx_costs: ContextCosts,
-    host: CoreSpec,
+    /// Context spawn/restore times on a host core, priced in `build`.
+    ctx_prices: ContextPrices,
     /// The message each busy worker is executing.
     pending: Vec<Option<MsgRepr>>,
     /// Elastic RSS: currently provisioned cores (prefix of the worker set).
@@ -199,7 +199,7 @@ impl Baseline {
         // Run-to-completion: the worker is its own networking subsystem.
         let overhead = steal_cost
             + params::HOST_NET_PER_PACKET
-            + ContextPool::op_cost(self.ctx_pool.begin(msg.req_id), &self.ctx_costs, &self.host);
+            + self.ctx_prices.op(self.ctx_pool.begin(msg.req_id));
         let service = SimDuration::from_nanos(msg.service_ns);
         // A slowdown window stretches wall time for this execution.
         let wall = stretched(ctx, w, overhead + service);
@@ -346,8 +346,7 @@ impl Assembly for Baseline {
             iface,
             workers,
             ctx_pool: ContextPool::new(),
-            ctx_costs: ContextCosts::default(),
-            host: CoreSpec::host_x86(),
+            ctx_prices: ContextCosts::default().priced(&CoreSpec::host_x86()),
             pending: vec![None; cfg.workers],
             active: cfg.workers,
             last_busy: vec![SimDuration::ZERO; cfg.workers],
@@ -378,7 +377,7 @@ impl Assembly for Baseline {
 /// time-weighted mean number of provisioned cores (equal to `cfg.workers`
 /// for the static kinds).
 pub fn run_with_elastic(spec: WorkloadSpec, cfg: BaselineConfig) -> (RunMetrics, f64) {
-    let (metrics, model) = run::<Baseline>(
+    let ((metrics, _), model) = run::<Baseline>(
         spec,
         &cfg,
         ProbeConfig::disabled(),

@@ -7,7 +7,7 @@
 use std::collections::VecDeque;
 
 use bytes::Bytes;
-use cpu_model::Core;
+use cpu_model::{ContextCosts, ContextPrices, Core, CoreSpec, InterruptPath};
 use net_wire::{Endpoint, EthernetAddress, FrameSpec, Ipv4Address, MsgKind, MsgRepr, ParsedFrame};
 use nic_model::Link;
 use nicsched::{
@@ -16,8 +16,8 @@ use nicsched::{
 };
 use sim_core::faults::FaultConfig;
 use sim_core::{
-    Ctx, Engine, FaultPlan, InvariantChecker, InvariantConfig, Model, Probe, ProbeConfig, ProbeKey,
-    Rng, SimDuration, SimTime,
+    Ctx, Engine, EngineStats, FaultPlan, InvariantChecker, InvariantConfig, Model, Probe,
+    ProbeConfig, ProbeKey, Rng, SimDuration, SimTime,
 };
 use workload::{
     ArrivalGen, ArrivalProcess, FaultMetrics, LatencyRecorder, ReqClass, RetryPolicy, RunMetrics,
@@ -1159,6 +1159,35 @@ pub(crate) fn start_check<E>(ctx: &mut Ctx<'_, E>, w: usize, retry: E) -> Option
     None
 }
 
+/// A host worker's per-dispatch overheads, priced once when an assembly is
+/// built: handlers add these durations and never convert cycles.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct WorkerPrices {
+    /// Context spawn, restore and save.
+    pub ctx: ContextPrices,
+    /// Arming the worker-local slice timer; zero when preemption
+    /// interrupts come from the NIC, which needs no worker-side arming.
+    pub timer_set: SimDuration,
+    /// Taking the preemption interrupt.
+    pub interrupt_receive: SimDuration,
+}
+
+impl WorkerPrices {
+    /// Prices on a host core whose preemption interrupts arrive over
+    /// `interrupt`.
+    pub fn new(interrupt: InterruptPath) -> WorkerPrices {
+        let host = CoreSpec::host_x86();
+        WorkerPrices {
+            ctx: ContextCosts::default().priced(&host),
+            timer_set: match interrupt {
+                InterruptPath::LocalTimer(mode) => mode.set_cost(&host),
+                _ => SimDuration::ZERO,
+            },
+            interrupt_receive: interrupt.receive_cost(&host),
+        }
+    }
+}
+
 /// Wall time worker `w` takes for `work` starting now: a slowdown window
 /// (thermal throttling) stretches it while the useful work is unchanged.
 #[inline]
@@ -1207,14 +1236,15 @@ pub(crate) trait Assembly: Model + Sized {
 
 /// Run one assembly: build it, register its probe names, arm the
 /// invariant checker and fault plan, seed the client, run to the horizon,
-/// then assemble the metrics and close the invariants. Returns the model
-/// too, for the side channels a few experiments read.
+/// then assemble the metrics and close the invariants. Returns the
+/// engine's counts beside the metrics, and the model too, for the side
+/// channels a few experiments read.
 pub(crate) fn run<A: Assembly>(
     spec: WorkloadSpec,
     cfg: &A::Config,
     probe: ProbeConfig,
     res: ResilienceConfig,
-) -> (RunMetrics, A) {
+) -> ((RunMetrics, EngineStats), A) {
     let mut engine = Engine::new(A::build(spec, cfg, res));
     engine.set_probe(Probe::new(probe).register(A::PROBE_NAMES));
     engine.set_invariants(checker_for(&res));
@@ -1241,7 +1271,8 @@ pub(crate) fn run<A: Assembly>(
         metrics.stages = Some(engine.probe_mut().report(horizon));
     }
     close_invariants(engine.take_invariants(), horizon, &metrics);
-    (metrics, engine.into_model())
+    let stats = engine.stats();
+    ((metrics, stats), engine.into_model())
 }
 
 #[cfg(test)]

@@ -34,7 +34,7 @@
 
 use std::collections::VecDeque;
 
-use cpu_model::{ContextCosts, ContextPool, Core, CoreId, CoreSpec, OneShotTimer, TimerMode};
+use cpu_model::{ContextPool, Core, CoreId, CoreSpec, InterruptPath, OneShotTimer, TimerMode};
 use net_wire::{MsgKind, ParsedFrame};
 use nic_model::{IfaceId, NicDevice, QueueSteering, Rss};
 use nicsched::{params, Assignment, Dispatcher, LeastOutstanding, PolicySpec, SchedPolicy, Task};
@@ -43,7 +43,7 @@ use workload::{RunMetrics, WorkloadSpec};
 
 use crate::common::{
     dispatcher_ledger, mean_utilization, msg_task, run, start_check, stretched, task_msg,
-    AddressPlan, Assembly, ClientEv, FrontEnd, FrontKeys, Liveness, ResilienceConfig,
+    AddressPlan, Assembly, ClientEv, FrontEnd, FrontKeys, Liveness, ResilienceConfig, WorkerPrices,
 };
 
 // Every probe name this assembly records, registered once per run.
@@ -182,8 +182,8 @@ pub(crate) struct MultiShinjuku {
     net_iface: IfaceId,
     groups: Vec<Group>,
     ctx_pool: ContextPool,
-    ctx_costs: ContextCosts,
-    host: CoreSpec,
+    /// Worker overheads under Dune-mapped slice timers, priced in `build`.
+    prices: WorkerPrices,
     preemptions: u64,
     /// Work that died with a crashed worker (running or delivered to it).
     stranded: u64,
@@ -238,12 +238,12 @@ impl MultiShinjuku {
         ctx.probe().busy_i(key::WORKER, global, true);
         ctx.probe().depth_i(key::WORKER_INBOX, global, depth);
         let ctx_op = self.ctx_pool.begin(task.req_id);
-        let mut overhead = ContextPool::op_cost(ctx_op, &self.ctx_costs, &self.host);
+        let mut overhead = self.prices.ctx.op(ctx_op);
         // Per-dispatch grants stamped by the group's policy survive the
         // shared-memory hop intact; `Inherit` reproduces the static timer.
         let run = match task.preempt.resolve(self.cfg.time_slice) {
             Some(slice) => {
-                overhead += TimerMode::DuneMapped.set_cost(&self.host);
+                overhead += self.prices.timer_set;
                 task.remaining.min(slice)
             }
             None => task.remaining,
@@ -297,7 +297,7 @@ impl MultiShinjuku {
                 // A retransmitted copy of this request is already suspended:
                 // kill this copy and free the worker slot via Done.
                 ctx.probe().count(key::WORKER_DUP_KILLED);
-                let free_at = now + TimerMode::DuneMapped.deliver_cost(&self.host);
+                let free_at = now + self.prices.interrupt_receive;
                 ctx.schedule_at(
                     free_at + params::HOST_QUEUE_HOP,
                     Ev::DispPush(g, DispItem::Done(local, after.req_id)),
@@ -308,9 +308,7 @@ impl MultiShinjuku {
             self.preemptions += 1;
             ctx.probe().count(key::WORKER_PREEMPTED);
             self.ctx_pool.save(after.req_id);
-            let free_at = now
-                + TimerMode::DuneMapped.deliver_cost(&self.host)
-                + self.ctx_costs.save(&self.host);
+            let free_at = now + self.prices.interrupt_receive + self.prices.ctx.save;
             ctx.schedule_at(
                 free_at + params::HOST_QUEUE_HOP,
                 Ev::DispPush(g, DispItem::Preempted(local, after)),
@@ -555,8 +553,7 @@ impl Assembly for MultiShinjuku {
             net_iface,
             groups,
             ctx_pool: ContextPool::new(),
-            ctx_costs: ContextCosts::default(),
-            host: CoreSpec::host_x86(),
+            prices: WorkerPrices::new(InterruptPath::LocalTimer(TimerMode::DuneMapped)),
             preemptions: 0,
             stranded: 0,
         }
@@ -607,7 +604,7 @@ pub struct MultiRunMetrics {
 /// Run a multi-dispatcher Shinjuku without faults or probes, also
 /// reporting the imbalance across its groups.
 pub fn run_with_imbalance(spec: WorkloadSpec, cfg: MultiShinjukuConfig) -> MultiRunMetrics {
-    let (metrics, model) = run::<MultiShinjuku>(
+    let ((metrics, _), model) = run::<MultiShinjuku>(
         spec,
         &cfg,
         ProbeConfig::disabled(),

@@ -27,21 +27,20 @@ use std::collections::{BTreeMap, VecDeque};
 
 use bytes::Bytes;
 use cpu_model::{
-    ContextCosts, ContextPool, Core, CoreId, CoreSpec, InterruptPath, OneShotTimer, Topology,
-    CROSS_SOCKET_PENALTY,
+    ContextPool, Core, CoreId, CoreSpec, OneShotTimer, Topology, CROSS_SOCKET_PENALTY,
 };
 use net_wire::{FrameSpec, MsgKind, MsgRepr, ParsedFrame};
 use nic_model::{packet_lines, Ddio, IfaceId, NicDevice, Placement, QueueSteering};
 use nicsched::{
     params, AdmitOutcome, Assignment, CoreSelector, Dispatcher, LeastOutstanding, NicProfile,
-    PolicySpec, SchedPolicy, SocketAffinity, Task,
+    PolicySpec, SchedCompute, SchedPolicy, SocketAffinity, Task,
 };
 use sim_core::{Ctx, Model, SimDuration, SimTime};
 use workload::{RunMetrics, WorkloadSpec};
 
 use crate::common::{
     dispatcher_ledger, mean_utilization, msg_task, start_check, stretched, task_msg, AddressPlan,
-    Assembly, ClientEv, FrontEnd, FrontKeys, JitPacing, Liveness, ResilienceConfig,
+    Assembly, ClientEv, FrontEnd, FrontKeys, JitPacing, Liveness, ResilienceConfig, WorkerPrices,
 };
 
 // Every probe name this assembly records, registered once per run.
@@ -198,6 +197,27 @@ pub(crate) enum QmItem {
     },
 }
 
+/// The time each ARM pipeline stage takes to retire one item under the
+/// configured compute model, priced once in `build`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct StagePrices {
+    net_parse: SimDuration,
+    queue_op: SimDuration,
+    tx_build: SimDuration,
+    rx_parse: SimDuration,
+}
+
+impl StagePrices {
+    fn new(compute: &SchedCompute) -> StagePrices {
+        StagePrices {
+            net_parse: compute.stage_cost(params::ARM_NET_PARSE_CYCLES),
+            queue_op: compute.stage_cost(params::ARM_QUEUE_OP_CYCLES),
+            tx_build: compute.stage_cost(params::ARM_TX_BUILD_CYCLES),
+            rx_parse: compute.stage_cost(params::ARM_RX_PARSE_CYCLES),
+        }
+    }
+}
+
 /// A serially-processed pipeline stage on an ARM core.
 struct Stage<T> {
     queue: VecDeque<T>,
@@ -253,9 +273,9 @@ pub(crate) struct Offload {
 
     workers: Vec<Worker>,
     ctx_pool: ContextPool,
-    ctx_costs: ContextCosts,
     ddio: Ddio,
-    host: CoreSpec,
+    stage_prices: StagePrices,
+    worker_prices: WorkerPrices,
 
     preemptions: u64,
 
@@ -266,11 +286,6 @@ pub(crate) struct Offload {
 }
 
 impl Offload {
-    /// Per-stage compute cost under the configured profile.
-    fn stage_cost(&self, host_cycles: u64) -> SimDuration {
-        self.cfg.profile.compute.stage_cost(host_cycles)
-    }
-
     // ---- stage starters -------------------------------------------------
 
     fn start_networker(&mut self, ctx: &mut Ctx<'_, Ev>) {
@@ -278,10 +293,7 @@ impl Offload {
         if !self.networker.busy && !ring.is_empty() {
             self.networker.busy = true;
             ctx.probe().busy(key::NETWORKER, true);
-            ctx.schedule_in(
-                self.stage_cost(params::ARM_NET_PARSE_CYCLES),
-                Ev::NetworkerDone,
-            );
+            ctx.schedule_in(self.stage_prices.net_parse, Ev::NetworkerDone);
         }
     }
 
@@ -289,7 +301,7 @@ impl Offload {
         if !self.qm.busy && !self.qm.queue.is_empty() {
             self.qm.busy = true;
             ctx.probe().busy(key::QM, true);
-            ctx.schedule_in(self.stage_cost(params::ARM_QUEUE_OP_CYCLES), Ev::QmDone);
+            ctx.schedule_in(self.stage_prices.queue_op, Ev::QmDone);
         }
     }
 
@@ -297,7 +309,7 @@ impl Offload {
         if !self.tx.busy && !self.tx.queue.is_empty() {
             self.tx.busy = true;
             ctx.probe().busy(key::TX, true);
-            ctx.schedule_in(self.stage_cost(params::ARM_TX_BUILD_CYCLES), Ev::TxDone);
+            ctx.schedule_in(self.stage_prices.tx_build, Ev::TxDone);
         }
     }
 
@@ -305,7 +317,7 @@ impl Offload {
         if !self.rx.busy && !self.rx.queue.is_empty() {
             self.rx.busy = true;
             ctx.probe().busy(key::RX, true);
-            ctx.schedule_in(self.stage_cost(params::ARM_RX_PARSE_CYCLES), Ev::RxDone);
+            ctx.schedule_in(self.stage_prices.rx_parse, Ev::RxDone);
         }
     }
 
@@ -366,7 +378,7 @@ impl Offload {
         };
         let lines = packet_lines(net_wire::message::HEADER_LEN + task.body_len as usize);
         let mut overhead = params::WORKER_RX_COST
-            + ContextPool::op_cost(ctx_op, &self.ctx_costs, &self.host)
+            + self.worker_prices.ctx.op(ctx_op)
             + self.ddio.first_touch_from(placement, lines, interconnect);
         self.ddio.release(placement, lines);
 
@@ -374,10 +386,7 @@ impl Offload {
         // slice (`Inherit` — grant byte 0 — reproduces the static timer).
         let run = match task.preempt.resolve(self.cfg.time_slice) {
             Some(slice) => {
-                // NIC-initiated interrupts need no worker-side arming.
-                if let InterruptPath::LocalTimer(mode) = self.cfg.profile.interrupt {
-                    overhead += mode.set_cost(&self.host);
-                }
+                overhead += self.worker_prices.timer_set;
                 // A NIC-initiated interrupt lands one transport latency
                 // after the slice expires, so the request overruns by that
                 // much — §3.4.4's argument against packet-based preemption.
@@ -398,10 +407,6 @@ impl Offload {
         let gen = worker.timer.arm(end);
         worker.running = Some(Running { task, run });
         ctx.schedule_at(end, Ev::WorkerRunEnd { worker: w, gen });
-    }
-
-    fn preempt_receive_cost(&self) -> SimDuration {
-        self.cfg.profile.interrupt.receive_cost(&self.host)
     }
 
     /// Build the notification frame a worker sends to the dispatcher.
@@ -469,7 +474,7 @@ impl Offload {
                 // Kill this copy — the saved context owns the request — and
                 // release the worker slot with a Done notification.
                 ctx.probe().count(key::WORKER_DUP_KILLED);
-                let free_at = now + self.preempt_receive_cost() + params::WORKER_TX_COST;
+                let free_at = now + self.worker_prices.interrupt_receive + params::WORKER_TX_COST;
                 let done = Offload::notif_spec(w, task_msg(MsgKind::Done, &after, 0, 0));
                 ctx.schedule_at(
                     free_at + self.cfg.profile.from_worker,
@@ -482,8 +487,8 @@ impl Offload {
             self.preemptions += 1;
             self.ctx_pool.save(after.req_id);
             let free_at = now
-                + self.preempt_receive_cost()
-                + self.ctx_costs.save(&self.host)
+                + self.worker_prices.interrupt_receive
+                + self.worker_prices.ctx.save
                 + params::WORKER_TX_COST;
             let remaining = after.remaining.as_nanos();
             let msg = task_msg(MsgKind::Preempted, &after, remaining, after.body_len);
@@ -808,13 +813,13 @@ impl Assembly for Offload {
             task_meta: BTreeMap::new(),
             workers,
             ctx_pool: ContextPool::new(),
-            ctx_costs: ContextCosts::default(),
             ddio: if cfg.ddio_l1 {
                 Ddio::informed_l1(4096)
             } else {
                 Ddio::classic(4096)
             },
-            host: CoreSpec::host_x86(),
+            stage_prices: StagePrices::new(&cfg.profile.compute),
+            worker_prices: WorkerPrices::new(cfg.profile.interrupt),
             preemptions: 0,
             liveness: Liveness::new(
                 &res,
@@ -866,6 +871,44 @@ mod tests {
             measure: SimDuration::from_millis(20),
             seed: 42,
         }
+    }
+
+    /// Every priced entry equals the live function it replaced, on every
+    /// NIC profile: the tables move the arithmetic, never the result.
+    #[test]
+    fn prices_equal_the_live_costs_on_every_profile() {
+        use cpu_model::{ContextCosts, ContextOp, InterruptPath, TimerMode};
+        let host = CoreSpec::host_x86();
+        let costs = ContextCosts::default();
+        for p in [
+            NicProfile::stingray(),
+            NicProfile::stingray_cxl(),
+            NicProfile::ideal(),
+            NicProfile::stingray_packet_preemption(),
+        ] {
+            let (stages, c) = (StagePrices::new(&p.compute), p.compute);
+            assert_eq!(stages.net_parse, c.stage_cost(params::ARM_NET_PARSE_CYCLES));
+            assert_eq!(stages.queue_op, c.stage_cost(params::ARM_QUEUE_OP_CYCLES));
+            assert_eq!(stages.tx_build, c.stage_cost(params::ARM_TX_BUILD_CYCLES));
+            assert_eq!(stages.rx_parse, c.stage_cost(params::ARM_RX_PARSE_CYCLES));
+            let w = WorkerPrices::new(p.interrupt);
+            assert_eq!(w.ctx.op(ContextOp::Spawn), costs.spawn(&host));
+            assert_eq!(w.ctx.op(ContextOp::Restore), costs.restore(&host));
+            assert_eq!(w.ctx.save, costs.save(&host));
+            let mut armed = SimDuration::ZERO;
+            if let InterruptPath::LocalTimer(mode) = p.interrupt {
+                armed += mode.set_cost(&host);
+            }
+            assert_eq!(w.timer_set, armed, "{}", p.name);
+            assert_eq!(w.interrupt_receive, p.interrupt.receive_cost(&host));
+        }
+        // Multi-Shinjuku's Dune-mapped slice timers.
+        let dune = WorkerPrices::new(InterruptPath::LocalTimer(TimerMode::DuneMapped));
+        assert_eq!(dune.timer_set, TimerMode::DuneMapped.set_cost(&host));
+        assert_eq!(
+            dune.interrupt_receive,
+            TimerMode::DuneMapped.deliver_cost(&host)
+        );
     }
 
     #[test]

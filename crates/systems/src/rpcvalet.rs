@@ -16,7 +16,7 @@
 //! semantics, configured with cap 1; the "hardware" is a compute model
 //! with near-zero stage costs.
 
-use cpu_model::{ContextCosts, ContextPool, Core, CoreId, CoreSpec};
+use cpu_model::{ContextCosts, ContextPool, ContextPrices, Core, CoreId, CoreSpec};
 use net_wire::MsgKind;
 use nicsched::{params, Dispatcher, Fcfs, LeastOutstanding, Task};
 use sim_core::{Ctx, Model, SimDuration, SimTime};
@@ -96,8 +96,8 @@ pub(crate) struct RpcValet {
     dispatcher: Dispatcher<Fcfs, LeastOutstanding>,
     workers: Vec<Worker>,
     ctx_pool: ContextPool,
-    ctx_costs: ContextCosts,
-    host: CoreSpec,
+    /// Context spawn/restore times on a host core, priced in `build`.
+    ctx_prices: ContextPrices,
     /// Work that died with a crashed worker (running or delivered to it).
     stranded: u64,
 }
@@ -177,7 +177,7 @@ impl Model for RpcValet {
                 ctx.probe().mark(task.req_id, key::PATH_2_WORKER_START);
                 ctx.probe().busy_i(key::WORKER, w, true);
                 let op = self.ctx_pool.begin(task.req_id);
-                let overhead = ContextPool::op_cost(op, &self.ctx_costs, &self.host);
+                let overhead = self.ctx_prices.op(op);
                 let wall = stretched(ctx, w, overhead + task.remaining);
                 let worker = &mut self.workers[w];
                 worker.core.set_busy(ctx.now());
@@ -272,8 +272,7 @@ impl Assembly for RpcValet {
                 })
                 .collect(),
             ctx_pool: ContextPool::new(),
-            ctx_costs: ContextCosts::default(),
-            host: CoreSpec::host_x86(),
+            ctx_prices: ContextCosts::default().priced(&CoreSpec::host_x86()),
             stranded: 0,
         }
     }

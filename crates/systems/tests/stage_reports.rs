@@ -1,5 +1,6 @@
 //! Golden stage reports: the probe layer's complete output for every
-//! assembly, pinned byte for byte.
+//! assembly, pinned byte for byte, and the engine's counts for the same
+//! runs.
 //!
 //! Each assembly runs twice at a fixed seed with a 64-event trace: once
 //! clean through [`ServerSystem::run`], once under 1% wire loss, a
@@ -10,6 +11,10 @@
 //! A difference, a missing golden file and an orphan golden file all
 //! fail. On a difference the rendered output is written to
 //! `<target>/tmp/stage_reports/<assembly>.actual` to diff against the golden.
+//!
+//! The [`EngineStats`] of both runs are pinned too: events processed and
+//! the peak pending count depend on the event stream alone, so a change
+//! that keeps results bit-identical keeps them unchanged.
 
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
@@ -17,7 +22,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use nicsched::{PolicySpec, RecoveryPolicy};
-use sim_core::{ProbeConfig, SimDuration, SimTime, StageReport};
+use sim_core::{EngineStats, ProbeConfig, SimDuration, SimTime, StageReport};
 use systems::baseline::{BaselineConfig, BaselineKind};
 use systems::multi_shinjuku::MultiShinjukuConfig;
 use systems::offload::OffloadConfig;
@@ -182,4 +187,31 @@ fn every_assembly_matches_its_golden_stage_report() {
         "stage report drift:\n{}",
         diffs.join("\n")
     );
+}
+
+/// Engine counts per assembly, clean run then faulted run, as
+/// `(events, peak_pending)`.
+const ENGINE_COUNTS: &[(&str, [(u64, u64); 2])] = &[
+    ("offload", [(22_288, 17), (36_699, 122)]),
+    ("shinjuku", [(18_421, 13), (27_761, 118)]),
+    ("baseline", [(7_970, 11), (9_146, 111)]),
+    ("rpcvalet", [(6_919, 9), (9_024, 110)]),
+    ("multi_shinjuku", [(18_421, 12), (27_714, 175)]),
+];
+
+#[test]
+fn every_assembly_matches_its_pinned_engine_counts() {
+    let probe = ProbeConfig::with_trace(64);
+    let counts = |e: EngineStats| (e.events, e.peak_pending);
+    let got: Vec<(&str, [(u64, u64); 2])> = assemblies()
+        .iter()
+        .map(|(name, sys)| {
+            let clean = sys
+                .run_counted(spec(), probe, ResilienceConfig::default())
+                .1;
+            let lossy = sys.run_counted(spec(), probe, faulted()).1;
+            (*name, [counts(clean), counts(lossy)])
+        })
+        .collect();
+    assert_eq!(got, ENGINE_COUNTS, "engine counts drifted");
 }
